@@ -21,6 +21,7 @@ from .experiment import (
     DataError,
     ModelLoadError,
     load_experiment_config,
+    require_tokens,
     run_experiment,
 )
 from .synthetic import SyntheticSpec, generate_synthetic_corpus
@@ -177,15 +178,16 @@ def cmd_evaluate(args) -> int:
         for phenotype in targets:
             if phenotype not in phenotypes:
                 raise ConfigError(f"checkpoint has no head for phenotype {phenotype!r}")
-            head = phenotypes.index(phenotype)
-            preds, labels = [], []
             for note in notes:
                 if note.labels is None or phenotype not in note.labels:
                     raise DataError(f"note {note.note_id!r} lacks a {phenotype!r} label")
-                _, pred = cnn.predict(model, vocab.resolve(tokenize(note.text)))
-                preds.append(int(pred[head]))
-                labels.append(note.labels[phenotype])
-            triple = metrics.metric_triple(metrics.confusion(preds, labels))
+        token_lists = [tokenize(note.text) for note in notes]
+        require_tokens(notes, token_lists)
+        _, preds = cnn.predict_batch(model, [vocab.resolve(tokens) for tokens in token_lists])
+        for phenotype in targets:
+            head = phenotypes.index(phenotype)
+            labels = [note.labels[phenotype] for note in notes]
+            triple = metrics.metric_triple(metrics.confusion([int(p) for p in preds[:, head]], labels))
             rows.append(metrics.report_row(phenotype, "cnn", triple))
     else:
         try:
@@ -251,6 +253,8 @@ def cmd_explain(args) -> int:
         raise ConfigError(
             f"checkpoint has no head for phenotype {args.phenotype!r}; heads: {phenotypes}"
         )
+    if args.top_k < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     head = phenotypes.index(args.phenotype)
     notes = _load_notes_or_fail(args.corpus)
 
@@ -269,9 +273,10 @@ def cmd_explain(args) -> int:
             note = notes[0]
         else:
             raise ConfigError("local scope needs --note-id when the corpus has several notes")
+        tokens = tokenize(note.text)
+        require_tokens([note], [tokens])
         report = saliency.local_salient_phrases(
-            model, vocab, note.note_id, tokenize(note.text), args.phenotype, head,
-            args.top_k, args.variant,
+            model, vocab, note.note_id, tokens, args.phenotype, head, args.top_k, args.variant,
         )
 
     out_base = Path(args.out)

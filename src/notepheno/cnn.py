@@ -4,6 +4,10 @@ Embedding lookup -> per-width convolution filter banks -> max-over-time
 pooling -> (inverted dropout) -> per-head sigmoid output. Training runs
 adadelta over all parameters, fine-tunes the embedding table, and re-applies
 an L2 max-norm constraint to the embedding rows after every step.
+
+One engine serves training, prediction, validation and saliency: it runs a
+group of notes padded to a common length, with one GEMM per filter width,
+and groups are capped in size so the working set stays bounded.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from .corpus import PAD_ID, Vocabulary
 from .embeddings import EmbeddingMatrix
@@ -22,6 +28,12 @@ from .optim import AdadeltaState, adadelta_step
 PROB_CLAMP = 1e-7
 INIT_BOUND = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
+# Cap on one group's working set, in float64 elements: padded positions times
+# the windows and activations each position holds. Training splits every
+# minibatch, and inference every note list, into groups under this cap, so
+# memory stays flat however large the batch or corpus; about ten 40-token
+# notes at the default filters and a 24-dim embedding.
+GROUP_ELEMENTS = 300_000
 
 
 @dataclass
@@ -85,8 +97,29 @@ class CnnModel:
 
 
 @dataclass
+class BatchActivations:
+    """Forward-pass caches of one group of notes padded to a common length.
+
+    Row b holds note b padded with PAD up to the widest filter (its own
+    length, lengths[b]) and then with PAD up to the group length. Grid
+    entries at positions past a note's last window are -inf, so the batch
+    padding never wins a max-pool.
+    """
+
+    ids: np.ndarray  # (notes, positions) token ids
+    lengths: np.ndarray  # (notes,) padded length of each note
+    embedded: np.ndarray  # (notes, positions, dim)
+    grids: dict[int, np.ndarray]  # width -> (notes, windows, filters) post-activation
+    argmax: dict[int, np.ndarray]  # width -> (notes, filters) winning positions
+    pooled: np.ndarray  # (notes, total filters) pre-dropout
+    dropout_mask: np.ndarray | None  # (notes, total filters) keep mask, train mode only
+    dropped: np.ndarray  # (notes, total filters) fed to the output layer
+    probs: np.ndarray  # (notes, heads)
+
+
+@dataclass
 class Activations:
-    """Everything the forward pass computes, cached for backprop and saliency."""
+    """The forward pass of one note, cached for backprop and saliency."""
 
     padded_ids: list[int]
     embedded: np.ndarray  # (length, dim)
@@ -133,17 +166,108 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _windows(embedded: np.ndarray, width: int) -> np.ndarray:
-    """All contiguous width-long stacks of rows: (positions, width, dim)."""
-    positions = embedded.shape[0] - width + 1
-    return np.stack([embedded[i : positions + i] for i in range(width)], axis=1)
+def groups(model: CnnModel, id_lists: list[list[int]]) -> list[tuple[int, int]]:
+    """Split a sequence of notes into consecutive [start, stop) groups.
+
+    A group grows while its padded positions times the elements each position
+    holds (one window per width, one activation per filter) stay within
+    GROUP_ELEMENTS; a note that alone exceeds it forms its own group.
+    """
+    cfg = model.config
+    max_width = max(cfg.filter_widths)
+    per_position = model.total_filters + sum(cfg.filter_widths) * model.embeddings.dim
+    bounds = []
+    start, longest = 0, 0
+    for i, ids in enumerate(id_lists):
+        length = max(len(ids), max_width)
+        if i > start and (i - start + 1) * max(longest, length) * per_position > GROUP_ELEMENTS:
+            bounds.append((start, i))
+            start, longest = i, 0
+        longest = max(longest, length)
+    if start < len(id_lists):
+        bounds.append((start, len(id_lists)))
+    return bounds
 
 
-def pad_ids(token_ids: list[int], max_width: int) -> list[int]:
-    """Pad with PAD up to the largest filter width so every bank sees >= 1 window."""
-    if len(token_ids) >= max_width:
-        return list(token_ids)
-    return list(token_ids) + [PAD_ID] * (max_width - len(token_ids))
+def _flat_windows(embedded: np.ndarray, width: int) -> np.ndarray:
+    """Every width-long window of every note, one per row: (notes * windows, width * dim)."""
+    n_notes, n_positions, dim = embedded.shape
+    stacked = sliding_window_view(embedded, width, axis=1)  # (notes, windows, dim, width)
+    return stacked.transpose(0, 1, 3, 2).reshape(n_notes * (n_positions - width + 1), width * dim)
+
+
+def forward_batch(
+    model: CnnModel,
+    id_lists: list[list[int]],
+    train_mode: bool = False,
+    dropout_rng: np.random.Generator | None = None,
+) -> BatchActivations:
+    """Run the network on one group of id sequences, one GEMM per filter width.
+
+    Each note is padded with PAD to the largest filter width, so every bank
+    sees at least one window, and ties in max pooling resolve to the first
+    position: a note's outputs are those it gets on its own. In train mode,
+    inverted dropout (scaled by 1/(1-p)) is applied to the pooled vectors with
+    one draw of notes * filters uniforms from the supplied generator, the same
+    stream as one draw per note. The caller bounds the group (see groups()).
+    """
+    if not id_lists or any(len(ids) == 0 for ids in id_lists):
+        raise ValueError("cannot run the model on an empty token sequence")
+    cfg = model.config
+    nf = cfg.filters_per_width
+    lengths = np.array([max(len(ids), max(cfg.filter_widths)) for ids in id_lists])
+    n_notes, n_positions = len(id_lists), int(lengths.max())
+    ids = np.full((n_notes, n_positions), PAD_ID, dtype=np.intp)
+    for b, seq in enumerate(id_lists):
+        ids[b, : len(seq)] = seq
+    embedded = model.embeddings.vectors[ids]
+
+    grids: dict[int, np.ndarray] = {}
+    argmax: dict[int, np.ndarray] = {}
+    pooled_parts = []
+    for w in cfg.filter_widths:
+        p = n_positions - w + 1
+        z = _flat_windows(embedded, w) @ model.conv_weights[w].reshape(nf, -1).T
+        z += model.conv_biases[w]
+        a = np.tanh(z, out=z) if cfg.activation == "tanh" else np.maximum(z, 0.0, out=z)
+        a = a.reshape(n_notes, p, nf)
+        a[np.arange(p)[None, :] > (lengths - w)[:, None]] = -np.inf
+        grids[w] = a
+        argmax[w] = np.argmax(a, axis=1)
+        pooled_parts.append(np.take_along_axis(a, argmax[w][:, None, :], axis=1)[:, 0, :])
+    pooled = np.concatenate(pooled_parts, axis=1)
+
+    if train_mode and cfg.dropout_p > 0.0:
+        if dropout_rng is None:
+            raise ValueError("train-mode forward with dropout needs a dropout_rng")
+        draws = dropout_rng.random(pooled.size).reshape(pooled.shape)
+        mask = (draws >= cfg.dropout_p).astype(float)
+        dropped = pooled * mask / (1.0 - cfg.dropout_p)
+    else:
+        mask = None
+        dropped = pooled
+
+    logits = dropped @ model.output_weights.T + model.output_bias
+    return BatchActivations(
+        ids=ids,
+        lengths=lengths,
+        embedded=embedded,
+        grids=grids,
+        argmax=argmax,
+        pooled=pooled,
+        dropout_mask=mask,
+        dropped=dropped,
+        probs=_sigmoid(logits),
+    )
+
+
+def forward_groups(model: CnnModel, id_lists: list[list[int]]):
+    """Eval-mode forward passes over id_lists, one bounded group at a time.
+
+    Yields (start index, BatchActivations); only one group is alive at once.
+    """
+    for start, stop in groups(model, id_lists):
+        yield start, forward_batch(model, id_lists[start:stop])
 
 
 def forward(
@@ -152,109 +276,120 @@ def forward(
     train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> Activations:
-    """Run the network on one id sequence.
-
-    In train mode, inverted dropout (scaled by 1/(1-p)) is applied to the
-    pooled vector using the supplied generator. Ties in max pooling resolve to
-    the first position.
-    """
-    if not token_ids:
-        raise ValueError("cannot run the model on an empty token sequence")
-    cfg = model.config
-    ids = pad_ids(token_ids, max(cfg.filter_widths))
-    embedded = model.embeddings.vectors[ids]
-
-    grids: dict[int, np.ndarray] = {}
-    argmax: dict[int, np.ndarray] = {}
-    pooled_parts = []
-    for w in cfg.filter_widths:
-        windows = _windows(embedded, w)  # (P, w, dim)
-        p = windows.shape[0]
-        flat = windows.reshape(p, -1)
-        z = flat @ model.conv_weights[w].reshape(cfg.filters_per_width, -1).T
-        z += model.conv_biases[w]
-        a = np.tanh(z) if cfg.activation == "tanh" else np.maximum(z, 0.0)
-        grids[w] = a
-        argmax[w] = np.argmax(a, axis=0)
-        pooled_parts.append(a[argmax[w], np.arange(cfg.filters_per_width)])
-    pooled = np.concatenate(pooled_parts)
-
-    if train_mode and cfg.dropout_p > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward with dropout needs a dropout_rng")
-        mask = (dropout_rng.random(pooled.shape[0]) >= cfg.dropout_p).astype(float)
-        dropped = pooled * mask / (1.0 - cfg.dropout_p)
-    else:
-        mask = None
-        dropped = pooled
-
-    logits = model.output_weights @ dropped + model.output_bias
-    probs = _sigmoid(logits)
+    """Run the network on one id sequence (a batch of one; see forward_batch)."""
+    batch = forward_batch(model, [token_ids], train_mode, dropout_rng)
     return Activations(
-        padded_ids=ids,
-        embedded=embedded,
-        grids=grids,
-        argmax=argmax,
-        pooled=pooled,
-        dropout_mask=mask,
-        dropped=dropped,
-        probs=probs,
+        padded_ids=batch.ids[0].tolist(),
+        embedded=batch.embedded[0],
+        grids={w: g[0] for w, g in batch.grids.items()},
+        argmax={w: a[0] for w, a in batch.argmax.items()},
+        pooled=batch.pooled[0],
+        dropout_mask=None if batch.dropout_mask is None else batch.dropout_mask[0],
+        dropped=batch.dropped[0],
+        probs=batch.probs[0],
     )
+
+
+def _note_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-note mean over heads of binary cross-entropy, probabilities clamped.
+
+    probs and labels are (notes, heads); returns (notes,).
+    """
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    y = np.asarray(labels, dtype=float)
+    return np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)), axis=-1)
 
 
 def loss(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean over heads of binary cross-entropy, with probabilities clamped."""
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(_note_losses(probs, labels))
+
+
+def backward_batch(
+    model: CnnModel,
+    acts: BatchActivations,
+    labels: np.ndarray,
+    grads: dict[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """Analytic gradients of the summed per-note loss() over one group.
+
+    labels is (notes, heads). The gradients are added into grads when given
+    (one dense embedding gradient then serves a whole optimizer step), or
+    into fresh zero arrays. Gradient flows only through each filter's argmax
+    window. dZ is scattered into one sparse (token positions, filter taps)
+    matrix S, holding dZ[note, f] at the position of tap i of filter f's
+    winning window, for every width. Then S^T @ embedded is every filter
+    gradient and S @ W the gradient at every token position, which is added
+    into the embedding table by token id.
+    """
+    cfg = model.config
+    if grads is None:
+        grads = {name: np.zeros_like(p) for name, p in model.parameters().items()}
     y = np.asarray(labels, dtype=float)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    d_logits = (acts.probs - y) / cfg.n_heads  # (notes, heads)
+    grads["output_weights"] += d_logits.T @ acts.dropped
+    grads["output_bias"] += d_logits.sum(axis=0)
+
+    d_pooled = d_logits @ model.output_weights
+    if acts.dropout_mask is not None:
+        d_pooled = d_pooled * acts.dropout_mask / (1.0 - cfg.dropout_p)
+    if cfg.activation == "tanh":
+        dz = d_pooled * (1.0 - acts.pooled * acts.pooled)
+    else:
+        dz = d_pooled * (acts.pooled > 0.0)
+
+    n_notes, n_positions, dim = acts.embedded.shape
+    nf = cfg.filters_per_width
+    note_starts = np.arange(n_notes) * n_positions
+    values, positions = [], []
+    for k, w in enumerate(cfg.filter_widths):
+        dz_w = dz[:, k * nf : (k + 1) * nf].T  # (filters, notes)
+        grads[f"conv_b{w}"] += dz_w.sum(axis=1)
+        # column f * w + i of this width's block: tap i of filter f, one entry per note
+        values.append(np.broadcast_to(dz_w[:, None, :], (nf, w, n_notes)).ravel())
+        taps = acts.argmax[w].T[:, None, :] + np.arange(w)[None, :, None]
+        positions.append((taps + note_starts).ravel())
+    n_taps = nf * sum(cfg.filter_widths)
+    scatter = sparse.csc_matrix(
+        (np.concatenate(values), np.concatenate(positions),
+         np.arange(0, n_taps * n_notes + 1, n_notes)),
+        shape=(n_notes * n_positions, n_taps),
+    )
+    d_taps = scatter.T @ acts.embedded.reshape(-1, dim)  # (taps, dim)
+    offset = 0
+    for w in cfg.filter_widths:
+        grads[f"conv_w{w}"] += d_taps[offset : offset + nf * w].reshape(nf, w, dim)
+        offset += nf * w
+    taps_weights = np.concatenate([model.conv_weights[w].reshape(nf * w, dim) for w in cfg.filter_widths])
+    d_embedded = scatter @ taps_weights  # (notes * positions, dim)
+
+    table = grads["embeddings"]
+    np.add.at(table, acts.ids.ravel(), d_embedded)
+    table[PAD_ID] = 0.0
+    return grads
 
 
 def backward(
     model: CnnModel, acts: Activations, labels: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of loss() wrt every trainable parameter.
+    """Analytic gradients of loss() for one note (a batch of one; see backward_batch).
 
-    Gradient flows only through each filter's argmax window, so embedding
-    gradients accumulate only at token positions inside winning windows.
+    Embedding gradients accumulate only at token positions inside winning
+    windows; the PAD row's gradient is zero.
     """
-    cfg = model.config
-    n_heads = cfg.n_heads
-    y = np.asarray(labels, dtype=float)
-    d_logits = (acts.probs - y) / n_heads
-
-    grads: dict[str, np.ndarray] = {
-        "output_weights": np.outer(d_logits, acts.dropped),
-        "output_bias": d_logits.copy(),
-    }
-
-    d_dropped = model.output_weights.T @ d_logits
-    if acts.dropout_mask is not None:
-        d_pooled = d_dropped * acts.dropout_mask / (1.0 - cfg.dropout_p)
-    else:
-        d_pooled = d_dropped
-
-    d_embedded = np.zeros_like(acts.embedded)
-    nf = cfg.filters_per_width
-    offset = 0
-    for w in cfg.filter_widths:
-        d_pool_w = d_pooled[offset : offset + nf]
-        offset += nf
-        starts = acts.argmax[w]
-        a_star = acts.grids[w][starts, np.arange(nf)]
-        if cfg.activation == "tanh":
-            dz = d_pool_w * (1.0 - a_star * a_star)
-        else:
-            dz = d_pool_w * (a_star > 0.0)
-        idx = starts[:, None] + np.arange(w)[None, :]  # (filters, width) row indices
-        grads[f"conv_w{w}"] = dz[:, None, None] * acts.embedded[idx]
-        grads[f"conv_b{w}"] = dz
-        np.add.at(d_embedded, idx, dz[:, None, None] * model.conv_weights[w])
-
-    d_emb_table = np.zeros_like(model.embeddings.vectors)
-    np.add.at(d_emb_table, acts.padded_ids, d_embedded)
-    d_emb_table[PAD_ID] = 0.0
-    grads["embeddings"] = d_emb_table
-    return grads
+    widths = model.config.filter_widths
+    batch = BatchActivations(
+        ids=np.asarray(acts.padded_ids, dtype=np.intp)[None, :],
+        lengths=np.array([len(acts.padded_ids)]),
+        embedded=acts.embedded[None],
+        grids={w: acts.grids[w][None] for w in widths},
+        argmax={w: acts.argmax[w][None] for w in widths},
+        pooled=acts.pooled[None],
+        dropout_mask=None if acts.dropout_mask is None else acts.dropout_mask[None],
+        dropped=acts.dropped[None],
+        probs=acts.probs[None],
+    )
+    return backward_batch(model, batch, np.asarray(labels, dtype=float)[None, :])
 
 
 def apply_max_norm(emb: EmbeddingMatrix, max_norm: float) -> EmbeddingMatrix:
@@ -273,10 +408,6 @@ def apply_max_norm(emb: EmbeddingMatrix, max_norm: float) -> EmbeddingMatrix:
     return emb
 
 
-def _zero_grads_like(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def train(
     model: CnnModel,
     train_data: list[tuple[list[int], np.ndarray]],
@@ -286,11 +417,12 @@ def train(
     """Mini-batch adadelta training; mutates and returns the model.
 
     train_data and val_data hold (token id sequence, per-head 0/1 label
-    vector) pairs. Batches reshuffle every epoch under the config seed; after
-    every optimizer step the embedding max-norm constraint is re-applied and
-    step_callback(model, epoch, step) fires if given. History records the
-    mean train loss and per-head validation F1 of each epoch. The final-epoch
-    model is returned (no early stopping).
+    vector) pairs. Batches reshuffle every epoch under the config seed; each
+    batch runs through the engine in bounded groups whose gradients add into
+    one step gradient. After every optimizer step the embedding max-norm
+    constraint is re-applied and step_callback(model, epoch, step) fires if
+    given. History records the mean train loss and per-head validation F1 of
+    each epoch. The final-epoch model is returned (no early stopping).
     """
     cfg = model.config
     cfg.validate()
@@ -310,16 +442,18 @@ def train(
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            grad_sum = _zero_grads_like(params)
-            for i in batch:
-                ids, labels = train_data[i]
-                acts = forward(model, ids, train_mode=True, dropout_rng=dropout_rng)
-                epoch_losses.append(loss(acts.probs, labels))
-                for name, g in backward(model, acts, labels).items():
-                    grad_sum[name] += g
-            for name in grad_sum:
-                grad_sum[name] /= len(batch)
-            adadelta_step(params, grad_sum, state, cfg.adadelta_rho, cfg.adadelta_eps)
+            id_lists = [train_data[i][0] for i in batch]
+            labels = np.array([train_data[i][1] for i in batch], dtype=float)
+            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            for lo, hi in groups(model, id_lists):
+                acts = forward_batch(
+                    model, id_lists[lo:hi], train_mode=True, dropout_rng=dropout_rng
+                )
+                epoch_losses.extend(_note_losses(acts.probs, labels[lo:hi]))
+                backward_batch(model, acts, labels[lo:hi], grads)
+            for g in grads.values():
+                g /= len(batch)
+            adadelta_step(params, grads, state, cfg.adadelta_rho, cfg.adadelta_eps)
             apply_max_norm(model.embeddings, cfg.max_norm)
             if step_callback is not None:
                 step_callback(model, epoch, step)
@@ -329,7 +463,7 @@ def train(
 
 
 def _validation_f1(model, val_data) -> list[float | None]:
-    preds = np.array([predict(model, ids)[1] for ids, _ in val_data])
+    _, preds = predict_batch(model, [ids for ids, _ in val_data])
     labels = np.array([y for _, y in val_data])
     return [
         f1(confusion([int(p) for p in preds[:, h]], [int(y) for y in labels[:, h]]))
@@ -337,20 +471,39 @@ def _validation_f1(model, val_data) -> list[float | None]:
     ]
 
 
-def predict(
-    model: CnnModel, token_ids: list[int], threshold: float | None = None
+def classify(
+    model: CnnModel, probs: np.ndarray, threshold: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head (probability, binary label) with dropout off; label = prob >= threshold.
+    """(clamped probabilities, 0/1 labels) from raw sigmoid outputs.
 
     Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP], matching the
-    loss convention, so a threshold of 1.0 can never fire.
+    loss convention, so a threshold of 1.0 can never fire; label = prob >=
+    threshold, the config threshold by default.
     """
     if threshold is None:
         threshold = model.config.threshold
-    acts = forward(model, token_ids, train_mode=False)
-    probs = np.clip(acts.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    labels = (probs >= threshold).astype(int)
-    return probs, labels
+    probs = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return probs, (probs >= threshold).astype(int)
+
+
+def predict_batch(
+    model: CnnModel, id_lists: list[list[int]], threshold: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(notes, heads) probabilities and labels with dropout off (see classify).
+
+    A note's outputs do not depend on which notes share its group.
+    """
+    probs = [np.empty((0, model.config.n_heads))]
+    probs += [acts.probs for _, acts in forward_groups(model, id_lists)]
+    return classify(model, np.concatenate(probs), threshold)
+
+
+def predict(
+    model: CnnModel, token_ids: list[int], threshold: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head (probability, binary label) of one note with dropout off."""
+    probs, labels = predict_batch(model, [token_ids], threshold)
+    return probs[0], labels[0]
 
 
 def save_checkpoint(

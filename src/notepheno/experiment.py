@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,6 +53,13 @@ class DataError(Exception):
 
 class ModelLoadError(Exception):
     """Unusable checkpoint or checkpoint/corpus mismatch (exit code 4)."""
+
+
+def require_tokens(notes: list[Note], token_lists: list[list[str]]):
+    """The CNN cannot read a note without tokens: reject it by name (exit 3)."""
+    for note, tokens in zip(notes, token_lists):
+        if not tokens:
+            raise DataError(f"note {note.note_id!r} has no tokens; the CNN cannot read an empty note")
 
 
 def derive_seed(root_seed: int, component: str) -> int:
@@ -123,14 +132,56 @@ _TOP_LEVEL_KEYS = {
 } | set(_SECTION_TYPES)
 
 
+def _has_type(value, annotation) -> bool:
+    """Whether a config value fits a field annotation (int, float, str, bool,
+    X | None, and list[X] / tuple[X, ...] given as a list or a tuple)."""
+    origin = typing.get_origin(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(annotation))
+    if origin in (list, tuple):
+        item = typing.get_args(annotation)[0]
+        return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
+    if annotation is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
+def _type_name(annotation) -> str:
+    origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_type_name(arg) for arg in args)
+    if origin in (list, tuple):
+        return f"a list of {_type_name(args[0])}"
+    return "null" if annotation is type(None) else annotation.__name__
+
+
+def _check_types(cls, body: dict, where: str):
+    """ConfigError naming the first field of body whose value has the wrong type."""
+    hints = typing.get_type_hints(cls)
+    for key, value in body.items():
+        if key in hints and not _has_type(value, hints[key]):
+            raise ConfigError(
+                f"{where}{key} must be {_type_name(hints[key])}, got {json.dumps(value)}"
+            )
+
+
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in data.items() if k not in _SECTION_TYPES}
+    _check_types(ExperimentConfig, kwargs, "")
     for section, cls in _SECTION_TYPES.items():
         if section in data:
+            if not isinstance(data[section], dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object")
             body = dict(data[section])
+            _check_types(cls, body, f"{section}.")
             if section == "cnn" and "filter_widths" in body:
                 body["filter_widths"] = tuple(body["filter_widths"])
             try:
@@ -247,6 +298,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     say(f"split: {len(train_notes)} train / {len(val_notes)} val / {len(test_notes)} test")
 
     tokens_by_id = {n.note_id: tokenize(n.text) for n in notes}
+    if "cnn" in config.models:
+        require_tokens(notes, [tokens_by_id[n.note_id] for n in notes])
     for n in unlabeled:
         tokens_by_id[n.note_id] = tokenize(n.text)
 
@@ -331,12 +384,11 @@ def _run_cnn(
         cnn.save_checkpoint(model, vocab, heads, ckpt)
         result.paths[f"cnn:{tag}"] = ckpt
 
+        _, labels = cnn.predict_batch(
+            model, [vocab.resolve(tokens_by_id[note.note_id]) for note in test_notes]
+        )
         for h, phenotype in enumerate(heads):
-            predictions = {}
-            for note in test_notes:
-                ids = vocab.resolve(tokens_by_id[note.note_id])
-                _, labels = cnn.predict(model, ids)
-                predictions[note.note_id] = int(labels[h])
+            predictions = {note.note_id: int(labels[i, h]) for i, note in enumerate(test_notes)}
             result.metrics[(phenotype, "cnn")] = _evaluate_binary(
                 predictions, test_notes, phenotype
             )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnn import CnnModel, forward, predict
+from .cnn import BatchActivations, CnnModel, classify, forward_batch, forward_groups
 from .corpus import PAD_TOKEN, Vocabulary
 
 VARIANTS = ("weighted", "norm")
@@ -54,14 +54,69 @@ def _dedup_top_k(entries: list[PhraseScore], k: int) -> list[PhraseScore]:
     """Keep the best-scoring entry per exact phrase string, then the top k.
 
     Windows that reach into the padding are dropped: reports list real
-    phrases only.
+    phrases only. Entries are visited in report order, so the first k
+    distinct phrases are the answer, already sorted.
     """
     best: dict[str, PhraseScore] = {}
     for entry in _sort_entries(entries):
         if PAD_TOKEN in entry.phrase:
             continue
         best.setdefault(entry.text, entry)
-    return _sort_entries(list(best.values()))[:k]
+        if len(best) == k:
+            break
+    return list(best.values())
+
+
+def _window_values(
+    model: CnnModel, acts: BatchActivations, variant: str, head: int
+) -> dict[int, np.ndarray]:
+    """Per width, a (notes, windows) score grid for every note of a group.
+
+    "weighted": each filter adds activation times the head's output weight at
+    its argmax window (accumulated in filter order), clipped at zero. "norm":
+    the L2 norm of the width's filter activations at each window.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    nf = model.config.filters_per_width
+    values = {}
+    for k, w in enumerate(model.config.filter_widths):
+        grid = acts.grids[w]  # (notes, windows, filters)
+        n_notes, n_windows, _ = grid.shape
+        if variant == "norm":
+            values[w] = np.linalg.norm(grid, axis=2)
+            continue
+        contrib = acts.pooled[:, k * nf : (k + 1) * nf] * model.output_weights[head, k * nf : (k + 1) * nf]
+        rows = np.arange(n_notes)[:, None] * n_windows + acts.argmax[w]
+        summed = np.bincount(rows.ravel(), contrib.ravel(), minlength=n_notes * n_windows)
+        values[w] = np.maximum(summed.reshape(n_notes, n_windows), 0.0)
+    return values
+
+
+def _note_scores(
+    acts: BatchActivations,
+    values: dict[int, np.ndarray],
+    row: int,
+    tokens: list[str],
+    note_id: str,
+) -> list[PhraseScore]:
+    """PhraseScores of every (width, window) of note `row` of a group."""
+    length = int(acts.lengths[row])
+    display = list(tokens) + [PAD_TOKEN] * (length - len(tokens))
+    scores: list[PhraseScore] = []
+    for w, grid in values.items():
+        note_values = grid[row].tolist()
+        for i in range(length - w + 1):
+            scores.append(
+                PhraseScore(
+                    phrase=tuple(display[i : i + w]),
+                    width=w,
+                    position=i,
+                    score=note_values[i],
+                    note_id=note_id,
+                )
+            )
+    return scores
 
 
 def phrase_scores(
@@ -80,41 +135,8 @@ def phrase_scores(
     variant is the L2 norm across the same-width filters' activations at the
     window, regardless of pooling.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not tokens:
-        raise ValueError("cannot score an empty token sequence")
-    ids = vocab.resolve(tokens)
-    acts = forward(model, ids, train_mode=False)
-    display = list(tokens) + [PAD_TOKEN] * (len(acts.padded_ids) - len(tokens))
-
-    cfg = model.config
-    nf = cfg.filters_per_width
-    scores: list[PhraseScore] = []
-    offset = 0
-    for w in cfg.filter_widths:
-        grid = acts.grids[w]  # (positions, filters)
-        if variant == "norm":
-            values = np.linalg.norm(grid, axis=1)
-        else:
-            head_w = model.output_weights[head, offset : offset + nf]
-            values = np.zeros(grid.shape[0])
-            for f in range(nf):
-                pos = acts.argmax[w][f]
-                values[pos] += grid[pos, f] * head_w[f]
-            values = np.maximum(values, 0.0)
-        for i in range(grid.shape[0]):
-            scores.append(
-                PhraseScore(
-                    phrase=tuple(display[i : i + w]),
-                    width=w,
-                    position=i,
-                    score=float(values[i]),
-                    note_id=note_id,
-                )
-            )
-        offset += nf
-    return scores
+    acts = forward_batch(model, [vocab.resolve(tokens)])
+    return _note_scores(acts, _window_values(model, acts, variant, head), 0, tokens, note_id)
 
 
 def global_top_phrases(
@@ -128,27 +150,35 @@ def global_top_phrases(
 ) -> SaliencyReport:
     """Top-k deduplicated phrases pooled over positively-predicted documents.
 
-    documents holds (note_id, tokens) pairs; only documents the model labels
-    positive for the given head contribute. Duplicate phrase strings keep
-    their maximum score.
+    documents holds (note_id, tokens) pairs; empty documents are skipped, and
+    only documents the model labels positive for the given head contribute,
+    scored from the same forward pass that predicted them. Duplicate phrase
+    strings keep their maximum score.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pooled: list[PhraseScore] = []
+    documents = [(note_id, tokens) for note_id, tokens in documents if tokens]
+    # The deduplicated top k of the documents seen so far. A phrase of the
+    # overall top k has fewer than k better distinct phrases among any prefix
+    # of the documents, so it survives every cut, and memory stays bounded.
+    entries: list[PhraseScore] = []
     any_positive = False
-    for note_id, tokens in documents:
-        if not tokens:
-            continue
-        _, labels = predict(model, vocab.resolve(tokens))
-        if labels[head] != 1:
+    for start, acts in forward_groups(model, [vocab.resolve(tokens) for _, tokens in documents]):
+        _, labels = classify(model, acts.probs)
+        positives = np.flatnonzero(labels[:, head] == 1)
+        if positives.size == 0:
             continue
         any_positive = True
-        pooled.extend(phrase_scores(model, vocab, tokens, note_id, variant, head))
+        values = _window_values(model, acts, variant, head)
+        pooled = list(entries)
+        for row in positives:
+            note_id, tokens = documents[start + row]
+            pooled.extend(_note_scores(acts, values, row, tokens, note_id))
+        entries = _dedup_top_k(pooled, k)
     if not any_positive:
         warnings.warn(
             f"no document was predicted positive for {phenotype!r}; empty saliency report"
         )
-    entries = _dedup_top_k(pooled, k)
     if entries and entries[0].score == 0.0:
         warnings.warn(f"all phrase scores for {phenotype!r} are zero")
     return SaliencyReport(scope="global", phenotype=phenotype, entries=entries)
@@ -167,14 +197,16 @@ def local_salient_phrases(
     """Top-k deduplicated phrases of a single document, whatever its prediction."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _, labels = predict(model, vocab.resolve(tokens))
-    flagged = bool(labels[head] != 1)
+    acts = forward_batch(model, [vocab.resolve(tokens)])
+    _, labels = classify(model, acts.probs)
+    flagged = bool(labels[0, head] != 1)
     if flagged:
         warnings.warn(
             f"note {note_id!r} is predicted negative for {phenotype!r}; "
             "report flagged accordingly"
         )
-    entries = _dedup_top_k(phrase_scores(model, vocab, tokens, note_id, variant, head), k)
+    values = _window_values(model, acts, variant, head)
+    entries = _dedup_top_k(_note_scores(acts, values, 0, tokens, note_id), k)
     if entries and entries[0].score == 0.0:
         warnings.warn(f"all phrase scores for {phenotype!r} are zero")
     return SaliencyReport(

@@ -284,3 +284,68 @@ class TestExplainCommand:
         assert code == 0
         lines = (tmp_path / "r.tsv").read_text().splitlines()[1:]
         assert all(float(line.split("\t")[3]) == 0.0 for line in lines)
+
+
+def _with_blank_note(workspace, tmp_path) -> tuple:
+    """The workspace corpus plus one note whose text tokenizes to nothing."""
+    notes = load_notes_jsonl(workspace["paths"]["labeled"])
+    notes.append(Note(note_id="blank", text="   ", labels={"pheno0": 0}))
+    path = tmp_path / "with_blank.jsonl"
+    save_notes_jsonl(notes, path)
+    return path, workspace["root"] / "out" / "checkpoints" / "cnn__pheno0.json"
+
+
+class TestEmptyNotes:
+    def test_evaluate_names_the_empty_note(self, workspace, tmp_path, capsys):
+        corpus, ckpt = _with_blank_note(workspace, tmp_path)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert "'blank'" in err and len(err.splitlines()) == 1
+
+    def test_local_explain_names_the_empty_note(self, workspace, tmp_path, capsys):
+        corpus, ckpt = _with_blank_note(workspace, tmp_path)
+        code = main(["explain", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--phenotype", "pheno0", "--scope", "local", "--note-id", "blank",
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "'blank'" in capsys.readouterr().err
+
+    def test_global_explain_skips_empty_notes(self, workspace, tmp_path):
+        corpus, ckpt = _with_blank_note(workspace, tmp_path)
+        code = main(["explain", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--phenotype", "pheno0", "--out", str(tmp_path / "r")])
+        assert code == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["entries"] and all(e["note_id"] != "blank" for e in doc["entries"])
+
+    def test_run_experiment_names_the_empty_note(self, workspace, tmp_path, capsys):
+        corpus, _ = _with_blank_note(workspace, tmp_path)
+        config = {**workspace["config"], "labeled_path": str(corpus),
+                  "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run-experiment", "--config", str(cfg_path)]) == 3
+        assert "'blank'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top_k", ["0", "-3"])
+def test_explain_top_k_below_one_is_config_error(workspace, tmp_path, capsys, top_k):
+    ckpt = workspace["root"] / "out" / "checkpoints" / "cnn__pheno0.json"
+    code = main(["explain", "--checkpoint", str(ckpt),
+                 "--corpus", str(workspace["paths"]["labeled"]),
+                 "--phenotype", "pheno0", "--top-k", top_k, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"cnn": "x"}, {"pretrain": [1]}, {"split": {"train_fraction": "0.7"}}],
+    ids=["section-string", "section-list", "field-type"],
+)
+def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**workspace["config"], **override}))
+    assert main(["run-experiment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and len(err.splitlines()) == 1

@@ -91,6 +91,11 @@ class TestConfigParsing:
         assert config.phenotypes == ["pheno0", "pheno1"]
         assert config.cnn.filter_widths == (2, 3)
 
+    def test_tuple_filter_widths_accepted(self, corpus, tmp_path):
+        data = base_config(corpus, tmp_path)
+        data["cnn"] = dict(data.get("cnn", {}), filter_widths=(2, 4))
+        assert experiment_config_from_dict(data).cnn.filter_widths == (2, 4)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{")
