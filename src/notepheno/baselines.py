@@ -1,8 +1,12 @@
-"""Classical learners over sparse feature vectors.
+"""Classical learners over sparse feature vectors, and the baseline pipelines.
 
 L2-regularized logistic regression (full-batch adadelta) and a random forest
 grown on Gini impurity, both deterministic under their seeds. Feature vectors
 are the sparse {column: value} dicts produced by the featurize module.
+
+MODELS names each baseline's learner and feature pipeline. Training and
+evaluate featurize and score through the same functions, from the pipeline
+record each checkpoint carries.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import concepts, featurize
 from .featurize import (
     FeatureSpace,
     FeatureVector,
@@ -26,6 +31,59 @@ from .optim import AdadeltaState, adadelta_step
 LOGREG_MAX_ITERS = 2000
 LOGREG_GRAD_TOL = 1e-5
 BASELINE_FORMAT_VERSION = 1
+
+# Baseline name -> (learner kind, feature pipeline). n-gram pipelines feed raw
+# n-gram counts; concept pipelines feed TF-IDF over (concept, negated) counts
+# from the dictionary, cut to the phenotype's tagged entries when filtered.
+MODELS = {
+    "2gram-lr": ("logreg", {"features": "ngram", "n": 2, "tfidf": False}),
+    "3gram-lr": ("logreg", {"features": "ngram", "n": 3, "tfidf": False}),
+    "ctakes-rf": ("random_forest", {"features": "concepts", "filtered": False, "tfidf": True}),
+    "ctakes-lr": ("logreg", {"features": "concepts", "filtered": False, "tfidf": True}),
+    "filter-rf": ("random_forest", {"features": "concepts", "filtered": True, "tfidf": True}),
+    "filter-lr": ("logreg", {"features": "concepts", "filtered": True, "tfidf": True}),
+}
+
+
+def pipeline_record(name: str, phenotype: str) -> dict:
+    """The pipeline record a checkpoint of baseline `name` for `phenotype` carries."""
+    return {"model": name, "phenotype": phenotype, **MODELS[name][1]}
+
+
+def _check_pipeline(kind: str, pipeline) -> None:
+    """ValueError unless pipeline is the record of a `kind` baseline for a named phenotype."""
+    name = pipeline.get("model") if isinstance(pipeline, dict) else None
+    phenotype = pipeline.get("phenotype") if isinstance(pipeline, dict) else None
+    if not (
+        isinstance(name, str)
+        and MODELS.get(name, (None,))[0] == kind
+        and isinstance(phenotype, str)
+        and phenotype
+        and pipeline == pipeline_record(name, phenotype)
+    ):
+        raise ValueError(f"pipeline {json.dumps(pipeline)} is not a {kind} baseline's record")
+
+
+def pipeline_counts(pipeline: dict, token_lists: list[list[str]], dictionary=None) -> list[dict]:
+    """Feature counts of each token list under a recorded pipeline.
+
+    A filtered concept pipeline keeps the dictionary entries tagged with the
+    phenotype the pipeline records.
+    """
+    if pipeline["features"] == "ngram":
+        return [featurize.extract_ngrams(tokens, pipeline["n"]) for tokens in token_lists]
+    if pipeline["filtered"]:
+        dictionary = concepts.filter_dictionary(dictionary, pipeline["phenotype"])
+    return [
+        concepts.count_concepts(concepts.match_concepts(tokens, dictionary))
+        for tokens in token_lists
+    ]
+
+
+def pipeline_vectors(pipeline: dict, counts: list[dict], space: FeatureSpace) -> list[FeatureVector]:
+    """Feature vectors of pipeline_counts output over a fitted space."""
+    transform = featurize.tfidf_transform if pipeline["tfidf"] else featurize.count_transform
+    return [transform(c, space) for c in counts]
 
 
 def vectors_to_csr(X: list[FeatureVector], n_features: int) -> sparse.csr_matrix:
@@ -286,6 +344,12 @@ def predict_rf(forest: Forest, x: FeatureVector) -> float:
     return float(np.mean([predict_tree(tree, x) for tree in forest.trees]))
 
 
+def predict_proba(kind: str, model: LinearModel | Forest, X: list[FeatureVector]) -> list[float]:
+    """Positive-class probability of each vector under either learner kind."""
+    predict = predict_logreg if kind == "logreg" else predict_rf
+    return [predict(model, x) for x in X]
+
+
 def _tree_to_json(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"fraction": node.fraction}
@@ -299,10 +363,10 @@ def _tree_to_json(node: TreeNode) -> dict:
 
 def _tree_from_json(data: dict) -> TreeNode:
     if "fraction" in data:
-        return TreeNode(fraction=data["fraction"])
+        return TreeNode(fraction=float(data["fraction"]))
     return TreeNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
+        feature=int(data["feature"]),
+        threshold=float(data["threshold"]),
         left=_tree_from_json(data["left"]),
         right=_tree_from_json(data["right"]),
     )
@@ -318,9 +382,12 @@ def _space_to_json(space: FeatureSpace) -> dict:
 
 def _space_from_json(data: dict) -> FeatureSpace:
     keys = [feature_key_from_json(item) for item in data["features"]]
+    idf = [float(v) for v in data["idf"]]
+    if len(idf) != len(keys):
+        raise ValueError("feature space has a different number of idf weights and features")
     return FeatureSpace(
         feature_to_index={k: i for i, k in enumerate(keys)},
-        idf=data["idf"],
+        idf=idf,
         variant=data["variant"],
         index_to_feature=keys,
     )
@@ -364,9 +431,16 @@ def save_baseline_checkpoint(
         fh.write("\n")
 
 
-def load_baseline_checkpoint(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def load_baseline_checkpoint(path: str | Path, doc: dict | None = None):
+    """(kind, model, feature space, pipeline record) of a baseline checkpoint.
+
+    doc is the file's parsed JSON, for a caller that has already read it. A
+    pipeline record that MODELS does not describe is a ValueError here, not a
+    failure at featurization.
+    """
+    if doc is None:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     if doc.get("format_version") != BASELINE_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format version")
     kind = doc["kind"]
@@ -378,6 +452,8 @@ def load_baseline_checkpoint(path: str | Path):
             bias=float(payload["bias"]),
             l2_lambda=float(payload["l2_lambda"]),
         )
+        if model.weights.ndim != 1:
+            raise ValueError(f"{path}: logistic regression weights must be a flat list")
     elif kind == "random_forest":
         model = Forest(
             trees=[_tree_from_json(t) for t in payload["trees"]],
@@ -386,6 +462,9 @@ def load_baseline_checkpoint(path: str | Path):
             max_depth=payload["max_depth"],
             bootstrap=payload["bootstrap"],
         )
+        if not model.trees:
+            raise ValueError(f"{path}: the forest has no trees")
     else:
         raise ValueError(f"{path}: unknown baseline kind {kind!r}")
+    _check_pipeline(kind, doc["pipeline"])
     return kind, model, space, doc["pipeline"]

@@ -12,8 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, cnn, concepts, featurize, metrics, saliency
-from .corpus import SplitSpec, Vocabulary, build_vocabulary, load_notes_jsonl, split_dataset, tokenize, write_split_manifest
+from . import baselines, cnn, metrics, saliency
+from .corpus import SplitSpec, Vocabulary, build_vocabulary, split_dataset, tokenize, write_split_manifest
 from .embeddings import PretrainConfig, pretrain_embeddings, save_embeddings
 from .experiment import (
     MODEL_NAMES,
@@ -21,8 +21,12 @@ from .experiment import (
     DataError,
     ModelLoadError,
     load_experiment_config,
+    read_dictionary,
+    read_notes,
+    require_labels,
     require_tokens,
     run_experiment,
+    score_predictions,
 )
 from .synthetic import SyntheticSpec, generate_synthetic_corpus
 
@@ -30,16 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
-
-
-def _load_notes_or_fail(path: str) -> list:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"corpus {p} does not exist")
-    try:
-        return load_notes_jsonl(p)
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"failed to read corpus {p}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -63,7 +57,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    notes = _load_notes_or_fail(args.corpus)
+    notes = read_notes(args.corpus)
     corpus = [tokenize(n.text) for n in notes]
     vocab = build_vocabulary(corpus, min_count=args.min_count)
     cfg = PretrainConfig(
@@ -85,7 +79,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_split(args) -> int:
-    notes = _load_notes_or_fail(args.corpus)
+    notes = read_notes(args.corpus)
     spec = SplitSpec(
         train_fraction=args.train_frac,
         val_fraction=args.val_frac,
@@ -146,85 +140,58 @@ def cmd_run_experiment(args) -> int:
     return EXIT_OK
 
 
-def _read_checkpoint_kind(path: str) -> str:
+def _read_checkpoint(path: str) -> tuple[str, tuple]:
+    """Parse a checkpoint file once and load it by its kind.
+
+    Returns ("cnn", (model, vocab, phenotypes)) or, for a baseline,
+    (kind, (model, space, pipeline)). Any fault is a ModelLoadError (exit 4).
+    """
     p = Path(path)
-    if not p.exists():
-        raise ModelLoadError(f"checkpoint {p} does not exist")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelLoadError(f"checkpoint {p} is not valid JSON: {exc}") from exc
-    kind = doc.get("kind")
-    if kind not in ("cnn", "logreg", "random_forest"):
-        raise ModelLoadError(f"checkpoint {p} has unknown kind {kind!r}")
-    return kind
-
-
-def _load_cnn_checkpoint(path: str):
-    try:
-        return cnn.load_checkpoint(path)
-    except (ValueError, KeyError) as exc:
-        raise ModelLoadError(f"failed to load CNN checkpoint: {exc}") from exc
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind == "cnn":
+            return kind, cnn.load_checkpoint(p, doc)
+        if kind in ("logreg", "random_forest"):
+            return kind, baselines.load_baseline_checkpoint(p, doc)[1:]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ModelLoadError(f"failed to load checkpoint {p}: {exc}") from exc
+    raise ModelLoadError(f"checkpoint {p} has unknown kind {kind!r}")
 
 
 def cmd_evaluate(args) -> int:
-    kind = _read_checkpoint_kind(args.checkpoint)
-    notes = _load_notes_or_fail(args.corpus)
-    rows = ["phenotype,model,ppv_pct,sensitivity_pct,f1_pct,ppv,sensitivity,f1"]
-
+    kind, loaded = _read_checkpoint(args.checkpoint)
+    notes = read_notes(args.corpus)
     if kind == "cnn":
-        model, vocab, phenotypes = _load_cnn_checkpoint(args.checkpoint)
-        targets = [args.phenotype] if args.phenotype else phenotypes
-        for phenotype in targets:
-            if phenotype not in phenotypes:
-                raise ConfigError(f"checkpoint has no head for phenotype {phenotype!r}")
-            for note in notes:
-                if note.labels is None or phenotype not in note.labels:
-                    raise DataError(f"note {note.note_id!r} lacks a {phenotype!r} label")
-        token_lists = [tokenize(note.text) for note in notes]
+        model, vocab, trained = loaded
+    else:
+        model, space, pipeline = loaded
+        trained = [pipeline["phenotype"]]
+    targets = [args.phenotype] if args.phenotype else trained
+    for phenotype in targets:
+        if phenotype not in trained:
+            raise ConfigError(f"checkpoint has no model for phenotype {phenotype!r}; it has {trained}")
+    require_labels(notes, targets)
+
+    token_lists = [tokenize(note.text) for note in notes]
+    if kind == "cnn":
         require_tokens(notes, token_lists)
         _, preds = cnn.predict_batch(model, [vocab.resolve(tokens) for tokens in token_lists])
-        for phenotype in targets:
-            head = phenotypes.index(phenotype)
-            labels = [note.labels[phenotype] for note in notes]
-            triple = metrics.metric_triple(metrics.confusion([int(p) for p in preds[:, head]], labels))
-            rows.append(metrics.report_row(phenotype, "cnn", triple))
+        name, columns = "cnn", {p: preds[:, trained.index(p)] for p in targets}
     else:
-        try:
-            kind, model, space, pipeline = baselines.load_baseline_checkpoint(args.checkpoint)
-        except (ValueError, KeyError) as exc:
-            raise ModelLoadError(f"failed to load baseline checkpoint: {exc}") from exc
-        phenotype = args.phenotype or pipeline.get("phenotype")
-        if not phenotype:
-            raise ConfigError("checkpoint does not record a phenotype; pass --phenotype")
         dictionary = None
-        if pipeline.get("features") == "concepts":
+        if pipeline["features"] == "concepts":
             if not args.dictionary:
                 raise DataError("concept-based checkpoints need --dictionary to featurize text")
-            dictionary = concepts.load_dictionary(args.dictionary)
-            if pipeline.get("filtered"):
-                dictionary = concepts.filter_dictionary(dictionary, phenotype)
-        preds, labels = [], []
-        for note in notes:
-            if note.labels is None or phenotype not in note.labels:
-                raise DataError(f"note {note.note_id!r} lacks a {phenotype!r} label")
-            tokens = tokenize(note.text)
-            if dictionary is not None:
-                counts = concepts.count_concepts(concepts.match_concepts(tokens, dictionary))
-                vec = featurize.tfidf_transform(counts, space)
-            else:
-                counts = featurize.extract_ngrams(tokens, pipeline["n"])
-                vec = featurize.count_transform(counts, space)
-            prob = (
-                baselines.predict_logreg(model, vec)
-                if kind == "logreg"
-                else baselines.predict_rf(model, vec)
-            )
-            preds.append(int(prob >= 0.5))
-            labels.append(note.labels[phenotype])
-        triple = metrics.metric_triple(metrics.confusion(preds, labels))
-        rows.append(metrics.report_row(phenotype, pipeline.get("model", kind), triple))
+            dictionary = read_dictionary(args.dictionary)
+        counts = baselines.pipeline_counts(pipeline, token_lists, dictionary)
+        probs = baselines.predict_proba(kind, model, baselines.pipeline_vectors(pipeline, counts, space))
+        name, columns = pipeline["model"], {trained[0]: [p >= 0.5 for p in probs]}
 
+    rows = ["phenotype,model,ppv_pct,sensitivity_pct,f1_pct,ppv,sensitivity,f1"]
+    for phenotype in targets:
+        triple = score_predictions(columns[phenotype], notes, phenotype)
+        rows.append(metrics.report_row(phenotype, name, triple))
     report = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -235,15 +202,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    kind = _read_checkpoint_kind(args.checkpoint)
+    kind, loaded = _read_checkpoint(args.checkpoint)
     if kind != "cnn":
         raise ModelLoadError("explain requires a CNN checkpoint")
-    model, vocab, phenotypes = _load_cnn_checkpoint(args.checkpoint)
+    model, vocab, phenotypes = loaded
     if args.vocab:
         try:
             with open(args.vocab, encoding="utf-8") as fh:
                 other = Vocabulary.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ModelLoadError(f"failed to read vocabulary {args.vocab}: {exc}") from exc
         if other.sha256() != vocab.sha256():
             raise ModelLoadError(
@@ -256,7 +223,7 @@ def cmd_explain(args) -> int:
     if args.top_k < 1:
         raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     head = phenotypes.index(args.phenotype)
-    notes = _load_notes_or_fail(args.corpus)
+    notes = read_notes(args.corpus)
 
     if args.scope == "global":
         documents = [(n.note_id, tokenize(n.text)) for n in notes]

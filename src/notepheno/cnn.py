@@ -532,9 +532,14 @@ def save_checkpoint(
         fh.write("\n")
 
 
-def load_checkpoint(path: str | Path) -> tuple[CnnModel, Vocabulary, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def load_checkpoint(
+    path: str | Path, doc: dict | None = None
+) -> tuple[CnnModel, Vocabulary, list[str]]:
+    """(model, vocabulary, head phenotypes); doc is the file's parsed JSON, for
+    a caller that has already read it."""
+    if doc is None:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     if doc.get("kind") != "cnn":
         raise ValueError(f"{path}: not a CNN checkpoint (kind={doc.get('kind')!r})")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:

@@ -166,7 +166,11 @@ def split_dataset(
 
 
 def load_notes_jsonl(path: str | Path) -> list[Note]:
-    """Read newline-delimited note records (note_id, text, optional labels)."""
+    """Read newline-delimited note records (note_id, text, optional labels).
+
+    A record that is not an object with a note_id, a string text and an object
+    (or null) of 0/1 labels is a ValueError naming path:line.
+    """
     notes = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
@@ -178,13 +182,21 @@ def load_notes_jsonl(path: str | Path) -> list[Note]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
-            note = Note(
-                note_id=str(record["note_id"]),
-                text=record["text"],
-                labels={k: int(v) for k, v in record["labels"].items()}
-                if "labels" in record and record["labels"] is not None
-                else None,
-            )
+            if not isinstance(record, dict) or "note_id" not in record:
+                raise ValueError(f"{path}:{lineno}: a note record must be a JSON object with a note_id")
+            text, labels = record.get("text"), record.get("labels")
+            if not isinstance(text, str):
+                raise ValueError(f"{path}:{lineno}: text must be a string, got {type(text).__name__}")
+            if labels is not None and not isinstance(labels, dict):
+                raise ValueError(f"{path}:{lineno}: labels must be a JSON object, got {type(labels).__name__}")
+            try:
+                note = Note(
+                    note_id=str(record["note_id"]),
+                    text=text,
+                    labels=None if labels is None else {k: int(v) for k, v in labels.items()},
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if note.note_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate note_id {note.note_id!r}")
             seen.add(note.note_id)

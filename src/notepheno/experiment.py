@@ -30,16 +30,10 @@ from .corpus import (
 )
 from .embeddings import PretrainConfig, init_embeddings, pretrain_embeddings, save_embeddings
 
-MODEL_NAMES = (
-    "cnn",
-    "2gram-lr",
-    "3gram-lr",
-    "ctakes-rf",
-    "ctakes-lr",
-    "filter-rf",
-    "filter-lr",
-)
-CONCEPT_MODELS = {"ctakes-rf", "ctakes-lr", "filter-rf", "filter-lr"}
+MODEL_NAMES = ("cnn", *baselines.MODELS)
+CONCEPT_MODELS = {
+    name for name, (_, spec) in baselines.MODELS.items() if spec["features"] == "concepts"
+}
 REPORT_FORMAT_VERSION = 1
 
 
@@ -53,6 +47,36 @@ class DataError(Exception):
 
 class ModelLoadError(Exception):
     """Unusable checkpoint or checkpoint/corpus mismatch (exit code 4)."""
+
+
+def read_notes(path: str | Path, what: str = "corpus") -> list[Note]:
+    """The notes of a JSONL file; a missing or malformed file is a DataError (exit 3)."""
+    try:
+        return load_notes_jsonl(path)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"failed to read {what} {path}: {exc}") from exc
+
+
+def read_dictionary(path: str | Path) -> concepts.ConceptDictionary:
+    """A concept dictionary; a missing or malformed file is a DataError (exit 3)."""
+    try:
+        return concepts.load_dictionary(path)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"failed to read concept dictionary {path}: {exc}") from exc
+
+
+def score_predictions(preds, notes: list[Note], phenotype: str) -> metrics.MetricTriple:
+    """PPV, sensitivity and F1 of 0/1 predictions against the notes' labels."""
+    labels = [note.labels[phenotype] for note in notes]
+    return metrics.metric_triple(metrics.confusion([int(p) for p in preds], labels))
+
+
+def require_labels(notes: list[Note], phenotypes: list[str]):
+    """Every note must carry a label for every phenotype (exit 3 otherwise)."""
+    for note in notes:
+        missing = [p for p in phenotypes if note.labels is None or p not in note.labels]
+        if missing:
+            raise DataError(f"note {note.note_id!r} is missing labels for {missing}")
 
 
 def require_tokens(notes: list[Note], token_lists: list[list[str]]):
@@ -202,7 +226,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -223,43 +247,6 @@ class ExperimentResult:
     histories: dict[str, cnn.TrainHistory] = field(default_factory=dict)
 
 
-def _load_labeled(config: ExperimentConfig) -> list[Note]:
-    path = Path(config.labeled_path)
-    if not path.exists():
-        raise DataError(f"labeled corpus {path} does not exist")
-    try:
-        notes = load_notes_jsonl(path)
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"failed to read labeled corpus: {exc}") from exc
-    if not notes:
-        raise DataError(f"labeled corpus {path} is empty")
-    for note in notes:
-        missing = [p for p in config.phenotypes if note.labels is None or p not in note.labels]
-        if missing:
-            raise DataError(f"note {note.note_id!r} is missing labels for {missing}")
-    return notes
-
-
-def _evaluate_binary(
-    predictions: dict[str, int], test_notes: list[Note], phenotype: str
-) -> metrics.MetricTriple:
-    preds = [predictions[n.note_id] for n in test_notes]
-    labels = [n.labels[phenotype] for n in test_notes]
-    return metrics.metric_triple(metrics.confusion(preds, labels))
-
-
-def _concept_count_features(
-    notes: list[Note],
-    tokens_by_id: dict[str, list[str]],
-    dictionary: concepts.ConceptDictionary,
-) -> dict[str, dict]:
-    out = {}
-    for note in notes:
-        mentions = concepts.match_concepts(tokens_by_id[note.note_id], dictionary)
-        out[note.note_id] = concepts.count_concepts(mentions)
-    return out
-
-
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run the full protocol described by the config; returns metrics and paths.
 
@@ -272,20 +259,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     (out_dir / "checkpoints").mkdir(exist_ok=True)
     (out_dir / "reports").mkdir(exist_ok=True)
 
-    notes = _load_labeled(config)
+    notes = read_notes(config.labeled_path, "labeled corpus")
+    if not notes:
+        raise DataError(f"labeled corpus {config.labeled_path} is empty")
+    require_labels(notes, config.phenotypes)
     unlabeled: list[Note] = []
     if config.unlabeled_path:
-        upath = Path(config.unlabeled_path)
-        if not upath.exists():
-            raise DataError(f"unlabeled corpus {upath} does not exist")
-        unlabeled = load_notes_jsonl(upath)
+        unlabeled = read_notes(config.unlabeled_path, "unlabeled corpus")
 
     dictionary = None
     if any(m in CONCEPT_MODELS for m in config.models):
-        dpath = Path(config.dictionary_path)
-        if not dpath.exists():
-            raise DataError(f"concept dictionary {dpath} does not exist")
-        dictionary = concepts.load_dictionary(dpath)
+        dictionary = read_dictionary(config.dictionary_path)
 
     split_spec = SplitSpec(
         train_fraction=config.split.train_fraction,
@@ -318,19 +302,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             config, vocab, tokens_by_id, unlabeled, train_notes, val_notes, test_notes,
             out_dir, derived_seeds, result, say,
         )
-    for n in (2, 3):
-        name = f"{n}gram-lr"
-        if name in config.models:
-            _run_ngram_lr(
-                config, n, tokens_by_id, train_notes, test_notes, out_dir,
-                derived_seeds, result, say,
-            )
     for name in config.models:
-        if name in CONCEPT_MODELS:
-            _run_concept_model(
-                config, name, dictionary, tokens_by_id, train_notes, test_notes,
-                out_dir, derived_seeds, result, say,
-            )
+        if name in baselines.MODELS:
+            for phenotype in config.phenotypes:
+                _run_baseline(
+                    config, name, phenotype, dictionary, tokens_by_id, train_notes,
+                    test_notes, out_dir, derived_seeds, result, say,
+                )
 
     _write_reports(config, result, split_hash, derived_seeds, out_dir)
     return result
@@ -388,106 +366,53 @@ def _run_cnn(
             model, [vocab.resolve(tokens_by_id[note.note_id]) for note in test_notes]
         )
         for h, phenotype in enumerate(heads):
-            predictions = {note.note_id: int(labels[i, h]) for i, note in enumerate(test_notes)}
-            result.metrics[(phenotype, "cnn")] = _evaluate_binary(
-                predictions, test_notes, phenotype
+            result.metrics[(phenotype, "cnn")] = score_predictions(
+                labels[:, h], test_notes, phenotype
             )
 
 
-def _run_ngram_lr(
-    config, n, tokens_by_id, train_notes, test_notes, out_dir, derived_seeds, result, say
+def _run_baseline(
+    config, name, phenotype, dictionary, tokens_by_id, train_notes, test_notes,
+    out_dir, derived_seeds, result, say,
 ):
-    name = f"{n}gram-lr"
-    counts_train = [
-        featurize.extract_ngrams(tokens_by_id[note.note_id], n) for note in train_notes
-    ]
-    space = featurize.fit_feature_space(counts_train)
-    X_train = [featurize.count_transform(c, space) for c in counts_train]
-    for phenotype in config.phenotypes:
-        seed = derive_seed(config.seed, f"train:{name}:{phenotype}")
-        derived_seeds[f"train:{name}:{phenotype}"] = seed
-        say(f"training {name} [{phenotype}]")
-        y = [note.labels[phenotype] for note in train_notes]
+    kind = baselines.MODELS[name][0]
+    pipeline = baselines.pipeline_record(name, phenotype)
+    counts = baselines.pipeline_counts(
+        pipeline, [tokens_by_id[note.note_id] for note in train_notes + test_notes], dictionary
+    )
+    train_counts, test_counts = counts[: len(train_notes)], counts[len(train_notes) :]
+    space = featurize.fit_feature_space(train_counts)
+    X_train = baselines.pipeline_vectors(pipeline, train_counts, space)
+    y = [note.labels[phenotype] for note in train_notes]
+    seed = derive_seed(config.seed, f"train:{name}:{phenotype}")
+    derived_seeds[f"train:{name}:{phenotype}"] = seed
+    say(f"training {name} [{phenotype}]")
+    if kind == "logreg":
         model = baselines.train_logreg(
             X_train, y,
             l2_lambda=config.baselines.logreg_l2_lambda,
             seed=seed,
             n_features=space.n_features,
         )
-        ckpt = out_dir / "checkpoints" / f"{name}__{phenotype}.json"
-        baselines.save_baseline_checkpoint(
-            "logreg", model, space,
-            {"model": name, "phenotype": phenotype, "features": "ngram", "n": n, "tfidf": False},
-            ckpt,
+    else:
+        model = baselines.train_rf(
+            X_train, y,
+            n_trees=config.baselines.rf_n_trees,
+            max_depth=config.baselines.rf_max_depth,
+            n_features_per_split=config.baselines.rf_n_features_per_split,
+            seed=seed,
+            n_features=space.n_features,
         )
-        result.paths[f"{name}:{phenotype}"] = ckpt
-        predictions = {}
-        for note in test_notes:
-            counts = featurize.extract_ngrams(tokens_by_id[note.note_id], n)
-            vec = featurize.count_transform(counts, space)
-            predictions[note.note_id] = int(baselines.predict_logreg(model, vec) >= 0.5)
-        result.metrics[(phenotype, name)] = _evaluate_binary(predictions, test_notes, phenotype)
+    ckpt = out_dir / "checkpoints" / f"{name}__{phenotype}.json"
+    baselines.save_baseline_checkpoint(kind, model, space, pipeline, ckpt)
+    result.paths[f"{name}:{phenotype}"] = ckpt
 
-
-def _run_concept_model(
-    config, name, dictionary, tokens_by_id, train_notes, test_notes,
-    out_dir, derived_seeds, result, say,
-):
-    filtered = name.startswith("filter-")
-    learner = name.split("-")[1]  # "rf" or "lr"
-    for phenotype in config.phenotypes:
-        active_dict = (
-            concepts.filter_dictionary(dictionary, phenotype) if filtered else dictionary
-        )
-        count_maps = _concept_count_features(
-            train_notes + test_notes, tokens_by_id, active_dict
-        )
-        space = featurize.fit_feature_space(
-            [count_maps[note.note_id] for note in train_notes]
-        )
-        X_train = [
-            featurize.tfidf_transform(count_maps[note.note_id], space)
-            for note in train_notes
-        ]
-        y = [note.labels[phenotype] for note in train_notes]
-        seed = derive_seed(config.seed, f"train:{name}:{phenotype}")
-        derived_seeds[f"train:{name}:{phenotype}"] = seed
-        say(f"training {name} [{phenotype}]")
-        pipeline = {
-            "model": name,
-            "phenotype": phenotype,
-            "features": "concepts",
-            "filtered": filtered,
-            "tfidf": True,
-        }
-        ckpt = out_dir / "checkpoints" / f"{name}__{phenotype}.json"
-        if learner == "lr":
-            model = baselines.train_logreg(
-                X_train, y,
-                l2_lambda=config.baselines.logreg_l2_lambda,
-                seed=seed,
-                n_features=space.n_features,
-            )
-            baselines.save_baseline_checkpoint("logreg", model, space, pipeline, ckpt)
-            predict = lambda vec: baselines.predict_logreg(model, vec)
-        else:
-            model = baselines.train_rf(
-                X_train, y,
-                n_trees=config.baselines.rf_n_trees,
-                max_depth=config.baselines.rf_max_depth,
-                n_features_per_split=config.baselines.rf_n_features_per_split,
-                seed=seed,
-                n_features=space.n_features,
-            )
-            baselines.save_baseline_checkpoint("random_forest", model, space, pipeline, ckpt)
-            predict = lambda vec: baselines.predict_rf(model, vec)
-        result.paths[f"{name}:{phenotype}"] = ckpt
-
-        predictions = {}
-        for note in test_notes:
-            vec = featurize.tfidf_transform(count_maps[note.note_id], space)
-            predictions[note.note_id] = int(predict(vec) >= 0.5)
-        result.metrics[(phenotype, name)] = _evaluate_binary(predictions, test_notes, phenotype)
+    probs = baselines.predict_proba(
+        kind, model, baselines.pipeline_vectors(pipeline, test_counts, space)
+    )
+    result.metrics[(phenotype, name)] = score_predictions(
+        [p >= 0.5 for p in probs], test_notes, phenotype
+    )
 
 
 def _pct(value: float | None) -> str:

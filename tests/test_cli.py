@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from notepheno import cnn
+from notepheno import baselines, cnn
 from notepheno.cli import main
 from notepheno.corpus import Note, load_notes_jsonl, save_notes_jsonl
 from notepheno.embeddings import load_embeddings
@@ -349,3 +349,171 @@ def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override)
     assert main(["run-experiment", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def _ckpt(workspace, name):
+    return workspace["root"] / "out" / "checkpoints" / name
+
+
+def _experiment_argv(workspace, tmp_path, **override) -> list[str]:
+    """run-experiment on the workspace config with some fields replaced."""
+    config = {**workspace["config"], "output_dir": str(tmp_path / "out"), **override}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return ["run-experiment", "--config", str(cfg_path)]
+
+
+def _evaluate_argv(workspace, ckpt, *extra) -> list[str]:
+    return ["evaluate", "--checkpoint", str(ckpt),
+            "--corpus", str(workspace["paths"]["labeled"]), *extra]
+
+
+def _written(tmp_path, name, content: str | bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return str(path)
+
+
+def _tampered(workspace, tmp_path, name, edit) -> str:
+    """A copy of a workspace checkpoint whose parsed JSON went through edit."""
+    doc = json.loads(_ckpt(workspace, name).read_text())
+    edit(doc)
+    return _written(tmp_path, "tampered.json", json.dumps(doc))
+
+
+def _as_forest_with_trees(trees):
+    def edit(doc):
+        doc["kind"] = "random_forest"
+        doc["pipeline"]["model"] = "ctakes-rf"
+        doc["model"] = {"trees": trees, "n_features_per_split": 1, "seed": 0,
+                        "max_depth": None, "bootstrap": True}
+    return edit
+
+
+_BAD_RECORDS = {"list-record": "[1, 2]", "int-text": '{"note_id": "a", "text": 5, "labels": {"pheno0": 1}}',
+                "list-labels": '{"note_id": "a", "text": "x", "labels": [1]}'}
+_ONE_COLUMN = "c1\n"
+_DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *[pytest.param(
+            lambda ws, tmp, rec=rec: _experiment_argv(
+                ws, tmp, labeled_path=_written(tmp, "notes.jsonl", rec + "\n")), 3,
+            id=f"run-experiment-{name}") for name, rec in _BAD_RECORDS.items()],
+        *[pytest.param(
+            lambda ws, tmp, rec=rec: ["evaluate", "--corpus", _written(tmp, "notes.jsonl", rec + "\n"),
+                                      "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json"))], 3,
+            id=f"evaluate-{name}") for name, rec in _BAD_RECORDS.items()],
+        pytest.param(lambda ws, tmp: _experiment_argv(
+            ws, tmp, unlabeled_path=_written(tmp, "u.jsonl", "{not json\n")), 3,
+            id="run-experiment-bad-json-unlabeled"),
+        pytest.param(lambda ws, tmp: _experiment_argv(
+            ws, tmp, dictionary_path=_written(tmp, "d.tsv", _ONE_COLUMN)), 3,
+            id="run-experiment-one-column-dictionary"),
+        pytest.param(lambda ws, tmp: _experiment_argv(
+            ws, tmp, dictionary_path=_written(tmp, "d.tsv", _DUPLICATE)), 3,
+            id="run-experiment-duplicate-dictionary"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(
+            ws, _ckpt(ws, "ctakes-lr__pheno0.json"),
+            "--dictionary", _written(tmp, "d.tsv", _ONE_COLUMN)), 3,
+            id="evaluate-one-column-dictionary"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(
+            ws, _ckpt(ws, "ctakes-lr__pheno0.json"),
+            "--dictionary", _written(tmp, "d.tsv", _DUPLICATE)), 3,
+            id="evaluate-duplicate-dictionary"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(
+            ws, _ckpt(ws, "ctakes-lr__pheno0.json"),
+            "--dictionary", str(tmp / "missing.tsv")), 3,
+            id="evaluate-missing-dictionary"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", "[]")), 4,
+                     id="checkpoint-list"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", '"x"')), 4,
+                     id="checkpoint-string"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["pipeline"].pop("n"))), 4,
+            id="pipeline-without-n"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["pipeline"].pop("phenotype"))), 4,
+            id="pipeline-without-phenotype"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc.update(pipeline="2gram-lr"))), 4,
+            id="pipeline-string"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees(5))), 4,
+            id="forest-trees-int"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees([])), "--dictionary",
+            str(ws["paths"]["dictionary"])), 4,
+            id="forest-without-trees"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees([{"fraction": "x"}])),
+            "--dictionary", str(ws["paths"]["dictionary"])), 4,
+            id="forest-leaf-string"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json",
+            lambda doc: doc["model"].update(weights=[doc["model"]["weights"]]))), 4,
+            id="logreg-nested-weights"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"].update(idf=[])),
+            "--dictionary", str(ws["paths"]["dictionary"])), 4,
+            id="space-without-idf"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json",
+            lambda doc: doc["feature_space"].update(idf=["x"] * len(doc["feature_space"]["idf"]))),
+            "--dictionary", str(ws["paths"]["dictionary"])), 4,
+            id="space-idf-strings"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "cnn__pheno0.json", lambda doc: doc["config"].update(depth=3))), 4,
+            id="cnn-unknown-config-field"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(
+            ws, _ckpt(ws, "2gram-lr__pheno0.json"),
+            "--phenotype", "pheno1"), 2,
+            id="baseline-other-phenotype"),
+        pytest.param(lambda ws, tmp: ["explain", "--checkpoint",
+                                       str(_ckpt(ws, "cnn__pheno0.json")),
+                                       "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
+                                       "--vocab", _written(tmp, "v.json", "[]"), "--out", str(tmp / "r")], 4,
+                     id="explain-vocab-list"),
+        pytest.param(lambda ws, tmp: ["run-experiment", "--config", str(tmp)], 2, id="config-directory"),
+        pytest.param(lambda ws, tmp: ["run-experiment", "--config", _written(tmp, "c.json", b"\xff\xfe")], 2,
+                     id="config-not-utf8"),
+    ],
+)
+def test_malformed_input_exits_cleanly(workspace, tmp_path, capsys, argv, code):
+    """Malformed notes, dictionaries, checkpoints and configs: exit 2, 3 or 4
+    with one line on stderr, never a traceback."""
+    assert main(argv(workspace, tmp_path)) == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_evaluate_reproduces_the_run_experiment_rows(tmp_path):
+    """Every baseline checkpoint, evaluated on exactly the test-split notes,
+    prints the row run-experiment wrote for it: both score through one path."""
+    spec = SyntheticSpec(n_notes=120, vocab_size=60, n_phenotypes=2,
+                         phrases_per_phenotype=2, noise_rate=0.1, seed=5)
+    paths = generate_synthetic_corpus(spec, tmp_path / "corpus")
+    out = tmp_path / "out"
+    config = {"labeled_path": str(paths["labeled"]), "dictionary_path": str(paths["dictionary"]),
+              "output_dir": str(out), "phenotypes": ["pheno0", "pheno1"],
+              "models": list(baselines.MODELS), "seed": 4, "baselines": {"rf_n_trees": 5}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run-experiment", "--config", str(cfg_path)]) == 0
+
+    by_id = {note.note_id: note for note in load_notes_jsonl(paths["labeled"])}
+    test_corpus = tmp_path / "test.jsonl"
+    save_notes_jsonl([by_id[i] for i in (out / "split" / "test.ids").read_text().split()],
+                     test_corpus)
+    lines = (out / "reports" / "metrics.csv").read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 2 * len(baselines.MODELS)
+    for row in rows:
+        phenotype, name = row.split(",")[:2]
+        report = tmp_path / f"{name}__{phenotype}.csv"
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoints" / f"{name}__{phenotype}.json"),
+                     "--corpus", str(test_corpus), "--dictionary", str(paths["dictionary"]),
+                     "--out", str(report)]) == 0
+        assert report.read_text().splitlines()[1] == row

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -161,6 +162,20 @@ class TestNoteIO:
             json.dumps({"note_id": "a", "text": "y"}) + "\n"
         )
         with pytest.raises(ValueError, match="duplicate"):
+            load_notes_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [[1, 2], {"text": "x"}, {"note_id": "a", "text": 5}, {"note_id": "a"},
+         {"note_id": "a", "text": "x", "labels": [1]},
+         {"note_id": "a", "text": "x", "labels": {"p": None}},
+         {"note_id": "a", "text": "x", "labels": {"p": 2}}],
+        ids=["list", "no-id", "int-text", "no-text", "list-labels", "null-label", "label-2"],
+    )
+    def test_mistyped_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "notes.jsonl"
+        path.write_text(json.dumps({"note_id": "ok", "text": "fine"}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             load_notes_jsonl(path)
 
     def test_bad_label_rejected(self):
