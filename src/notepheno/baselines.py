@@ -1,8 +1,8 @@
-"""Classical learners over sparse feature vectors, and the baseline pipelines.
+"""Classical learners over sparse feature matrices, and the baseline pipelines.
 
 L2-regularized logistic regression (full-batch adadelta) and a random forest
-grown on Gini impurity, both deterministic under their seeds. Feature vectors
-are the sparse {column: value} dicts produced by the featurize module.
+grown on Gini impurity, both deterministic under their seeds. Both fit on and
+score the CSR matrix featurize.transform builds, one row per note.
 
 MODELS names each baseline's learner and feature pipeline. Training and
 evaluate featurize and score through the same functions, from the pipeline
@@ -20,12 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from . import concepts, featurize
-from .featurize import (
-    FeatureSpace,
-    FeatureVector,
-    feature_key_from_json,
-    feature_key_to_json,
-)
+from .featurize import FeatureSpace, feature_key_from_json, feature_key_to_json
 from .optim import AdadeltaState, adadelta_step
 
 LOGREG_MAX_ITERS = 2000
@@ -80,13 +75,13 @@ def pipeline_counts(pipeline: dict, token_lists: list[list[str]], dictionary=Non
     ]
 
 
-def pipeline_vectors(pipeline: dict, counts: list[dict], space: FeatureSpace) -> list[FeatureVector]:
-    """Feature vectors of pipeline_counts output over a fitted space."""
-    transform = featurize.tfidf_transform if pipeline["tfidf"] else featurize.count_transform
-    return [transform(c, space) for c in counts]
+def pipeline_vectors(pipeline: dict, counts: list[dict], space: FeatureSpace) -> sparse.csr_matrix:
+    """The feature matrix of pipeline_counts output over a fitted space."""
+    return featurize.transform(counts, space, pipeline["tfidf"])
 
 
-def vectors_to_csr(X: list[FeatureVector], n_features: int) -> sparse.csr_matrix:
+def vectors_to_csr(X: list[dict[int, float]], n_features: int) -> sparse.csr_matrix:
+    """CSR matrix of {column: value} rows."""
     rows, cols, vals = [], [], []
     for r, vec in enumerate(X):
         for c, v in vec.items():
@@ -94,14 +89,6 @@ def vectors_to_csr(X: list[FeatureVector], n_features: int) -> sparse.csr_matrix
             cols.append(c)
             vals.append(v)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(len(X), n_features))
-
-
-def vectors_to_dense(X: list[FeatureVector], n_features: int) -> np.ndarray:
-    out = np.zeros((len(X), n_features))
-    for r, vec in enumerate(X):
-        for c, v in vec.items():
-            out[r, c] = v
-    return out
 
 
 @dataclass
@@ -135,11 +122,9 @@ def logreg_objective_and_grads(
 
 
 def train_logreg(
-    X: list[FeatureVector],
+    X: sparse.csr_matrix,
     y: list[int],
     l2_lambda: float = 1.0,
-    seed: int = 0,
-    n_features: int | None = None,
     max_iters: int = LOGREG_MAX_ITERS,
     tol: float = LOGREG_GRAD_TOL,
     objective_history: list[float] | None = None,
@@ -150,19 +135,13 @@ def train_logreg(
     (a warning flags the capped case) and returns the best-objective iterate
     seen, which guards against adadelta's oscillation on extremely
     ill-conditioned problems (huge l2_lambda, or a single-class y with
-    l2_lambda 0). Deterministic regardless of seed since the start is zero
-    and batches are full; the seed is kept for interface symmetry with the
-    other trainers.
+    l2_lambda 0). Deterministic: the start is zero and batches are full.
     """
-    del seed
-    if not X or len(X) != len(y):
+    if not X.shape[0] or X.shape[0] != len(y):
         raise ValueError("X and y must be non-empty and the same length")
-    if n_features is None:
-        n_features = 1 + max((max(vec) for vec in X if vec), default=-1)
-    X_csr = vectors_to_csr(X, n_features)
     y_arr = np.asarray(y, dtype=float)
 
-    weights = np.zeros(n_features)
+    weights = np.zeros(X.shape[1])
     bias = np.zeros(1)
     params = {"weights": weights, "bias": bias}
     state = AdadeltaState.for_params(params)
@@ -170,7 +149,7 @@ def train_logreg(
     converged = False
     for _ in range(max_iters + 1):
         objective, grad_w, grad_b = logreg_objective_and_grads(
-            weights, float(bias[0]), X_csr, y_arr, l2_lambda
+            weights, float(bias[0]), X, y_arr, l2_lambda
         )
         if objective_history is not None:
             objective_history.append(objective)
@@ -187,14 +166,6 @@ def train_logreg(
             "before reaching the gradient tolerance"
         )
     return LinearModel(weights=best[1], bias=best[2], l2_lambda=l2_lambda)
-
-
-def predict_logreg(model: LinearModel, x: FeatureVector) -> float:
-    score = model.bias
-    for idx, value in x.items():
-        if idx < len(model.weights):
-            score += model.weights[idx] * value
-    return float(1.0 / (1.0 + np.exp(-score)))
 
 
 @dataclass
@@ -285,13 +256,12 @@ def _grow_tree(
 
 
 def train_rf(
-    X: list[FeatureVector],
+    X: sparse.csr_matrix,
     y: list[int],
     n_trees: int = 100,
     max_depth: int | None = None,
     n_features_per_split: int | None = None,
     seed: int = 0,
-    n_features: int | None = None,
     bootstrap: bool = True,
 ) -> Forest:
     """Grow a seeded forest; each tree sees a bootstrap resample of the data.
@@ -299,16 +269,13 @@ def train_rf(
     Splits minimize weighted Gini impurity over a random feature subset
     (default ceil(sqrt(D)) features). Growth stops at max_depth, a pure node,
     or fewer than 2 samples. bootstrap=False is a test mode that trains every
-    tree on the full dataset.
+    tree on the full dataset. A matrix with no columns grows single-leaf trees.
     """
-    if not X or len(X) != len(y):
+    if not X.shape[0] or X.shape[0] != len(y):
         raise ValueError("X and y must be non-empty and the same length")
-    if n_features is None:
-        n_features = 1 + max((max(vec) for vec in X if vec), default=-1)
-    n_features = max(n_features, 1)
     if n_features_per_split is None:
-        n_features_per_split = int(np.ceil(np.sqrt(n_features)))
-    dense = vectors_to_dense(X, n_features)
+        n_features_per_split = int(np.ceil(np.sqrt(max(X.shape[1], 1))))
+    dense = X.toarray()
     y_arr = np.asarray(y, dtype=int)
 
     trees = []
@@ -330,24 +297,34 @@ def train_rf(
     )
 
 
-def predict_tree(node: TreeNode, x: FeatureVector) -> float:
-    while not node.is_leaf:
-        value = x.get(node.feature, 0.0)
-        node = node.left if value <= node.threshold else node.right
-    return node.fraction
+def _route(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """Write node's leaf fraction into out at each row of X that reaches it."""
+    if node.is_leaf:
+        out[rows] = node.fraction
+        return
+    left = X[rows, node.feature] <= node.threshold
+    _route(node.left, X, rows[left], out)
+    _route(node.right, X, rows[~left], out)
 
 
-def predict_rf(forest: Forest, x: FeatureVector) -> float:
-    """Mean of per-tree leaf positive-fractions; always in [0, 1]."""
-    if not forest.trees:
+def predict_proba(kind: str, model: LinearModel | Forest, X: sparse.csr_matrix) -> np.ndarray:
+    """Positive-class probability of each row of X under either learner kind.
+
+    A forest's probability is the mean of its trees' leaf positive-fractions,
+    always in [0, 1].
+    """
+    if kind == "logreg":
+        return 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
+    if not model.trees:
         raise ValueError("cannot predict with an empty forest")
-    return float(np.mean([predict_tree(tree, x) for tree in forest.trees]))
-
-
-def predict_proba(kind: str, model: LinearModel | Forest, X: list[FeatureVector]) -> list[float]:
-    """Positive-class probability of each vector under either learner kind."""
-    predict = predict_logreg if kind == "logreg" else predict_rf
-    return [predict(model, x) for x in X]
+    dense = X.toarray()
+    rows = np.arange(X.shape[0])
+    # (notes, trees): each note's trees are one contiguous row, which mean()
+    # sums the way np.mean sums one note's list of tree fractions
+    leaves = np.empty((X.shape[0], len(model.trees)))
+    for t, tree in enumerate(model.trees):
+        _route(tree, dense, rows, leaves[:, t])
+    return leaves.mean(axis=1)
 
 
 def _tree_to_json(node: TreeNode) -> dict:
@@ -361,14 +338,17 @@ def _tree_to_json(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_json(data: dict) -> TreeNode:
+def _tree_from_json(data: dict, n_features: int) -> TreeNode:
     if "fraction" in data:
         return TreeNode(fraction=float(data["fraction"]))
+    feature = int(data["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"a tree splits on feature {feature} of a {n_features}-feature space")
     return TreeNode(
-        feature=int(data["feature"]),
+        feature=feature,
         threshold=float(data["threshold"]),
-        left=_tree_from_json(data["left"]),
-        right=_tree_from_json(data["right"]),
+        left=_tree_from_json(data["left"], n_features),
+        right=_tree_from_json(data["right"], n_features),
     )
 
 
@@ -452,11 +432,11 @@ def load_baseline_checkpoint(path: str | Path, doc: dict | None = None):
             bias=float(payload["bias"]),
             l2_lambda=float(payload["l2_lambda"]),
         )
-        if model.weights.ndim != 1:
-            raise ValueError(f"{path}: logistic regression weights must be a flat list")
+        if model.weights.shape != (space.n_features,):
+            raise ValueError(f"{path}: logistic regression needs a flat list of one weight per feature")
     elif kind == "random_forest":
         model = Forest(
-            trees=[_tree_from_json(t) for t in payload["trees"]],
+            trees=[_tree_from_json(t, space.n_features) for t in payload["trees"]],
             n_features_per_split=payload["n_features_per_split"],
             seed=payload["seed"],
             max_depth=payload["max_depth"],

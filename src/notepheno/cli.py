@@ -186,7 +186,7 @@ def cmd_evaluate(args) -> int:
             dictionary = read_dictionary(args.dictionary)
         counts = baselines.pipeline_counts(pipeline, token_lists, dictionary)
         probs = baselines.predict_proba(kind, model, baselines.pipeline_vectors(pipeline, counts, space))
-        name, columns = pipeline["model"], {trained[0]: [p >= 0.5 for p in probs]}
+        name, columns = pipeline["model"], {trained[0]: probs >= 0.5}
 
     rows = ["phenotype,model,ppv_pct,sensitivity_pct,f1_pct,ppv,sensitivity,f1"]
     for phenotype in targets:

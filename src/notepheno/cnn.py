@@ -51,8 +51,11 @@ class CnnConfig:
     activation: str = "tanh"
     seed: int = 0
 
+    def __post_init__(self):
+        self.filter_widths = tuple(self.filter_widths)
+
     def validate(self):
-        widths = tuple(self.filter_widths)
+        widths = self.filter_widths
         if not widths or len(set(widths)) != len(widths) or any(w < 1 for w in widths):
             raise ValueError(f"filter widths must be distinct and >= 1, got {widths}")
         if self.filters_per_width < 1:
@@ -510,12 +513,10 @@ def save_checkpoint(
     model: CnnModel, vocab: Vocabulary, phenotypes: list[str], path: str | Path
 ):
     """Self-describing JSON checkpoint; save -> load round-trips bit-exactly."""
-    config = asdict(model.config)
-    config["filter_widths"] = list(model.config.filter_widths)
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": "cnn",
-        "config": config,
+        "config": asdict(model.config),
         "phenotypes": list(phenotypes),
         "vocabulary": vocab.to_dict(),
         "vocab_sha256": vocab.sha256(),
@@ -544,9 +545,7 @@ def load_checkpoint(
         raise ValueError(f"{path}: not a CNN checkpoint (kind={doc.get('kind')!r})")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format version")
-    raw = dict(doc["config"])
-    raw["filter_widths"] = tuple(raw["filter_widths"])
-    config = CnnConfig(**raw)
+    config = CnnConfig(**doc["config"])
     config.validate()
     params = doc["params"]
     model = CnnModel(

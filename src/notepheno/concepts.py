@@ -39,10 +39,19 @@ class ConceptEntry:
 
 @dataclass
 class ConceptDictionary:
+    """Dictionary entries plus their phrase index, compiled once on construction.
+
+    by_phrase maps each phrase to its sorted concept ids and max_len is the
+    longest phrase's length (0 when empty); neither takes part in == or repr.
+    """
+
     entries: list[ConceptEntry] = field(default_factory=list)
+    by_phrase: dict[tuple[str, ...], list[str]] = field(init=False, repr=False, compare=False)
+    max_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
+        self.by_phrase = {}
         for entry in self.entries:
             if not entry.phrase:
                 raise ValueError(f"concept {entry.concept_id!r} has an empty phrase")
@@ -50,6 +59,10 @@ class ConceptDictionary:
             if key in seen:
                 raise ValueError(f"duplicate dictionary entry {key!r}")
             seen.add(key)
+            self.by_phrase.setdefault(entry.phrase, []).append(entry.concept_id)
+        for concept_ids in self.by_phrase.values():
+            concept_ids.sort()
+        self.max_len = max(map(len, self.by_phrase), default=0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -91,19 +104,13 @@ def match_concepts(tokens: list[str], dictionary: ConceptDictionary) -> list[Con
     after it; entries of different concepts sharing that phrase each get a
     mention. Every mention carries its negation flag.
     """
-    by_phrase: dict[tuple[str, ...], list[str]] = {}
-    for entry in dictionary.entries:
-        by_phrase.setdefault(entry.phrase, []).append(entry.concept_id)
-    if not by_phrase:
-        return []
-    max_len = max(len(p) for p in by_phrase)
-
+    by_phrase = dictionary.by_phrase
     mentions: list[ConceptMention] = []
     i = 0
     n = len(tokens)
     while i < n:
         matched = None
-        for length in range(min(max_len, n - i), 0, -1):
+        for length in range(min(dictionary.max_len, n - i), 0, -1):
             phrase = tuple(tokens[i : i + length])
             if phrase in by_phrase:
                 matched = (length, by_phrase[phrase])
@@ -113,7 +120,7 @@ def match_concepts(tokens: list[str], dictionary: ConceptDictionary) -> list[Con
             continue
         length, concept_ids = matched
         negated = detect_negation(tokens, (i, i + length))
-        for cid in sorted(concept_ids):
+        for cid in concept_ids:
             mentions.append(ConceptMention(cid, i, i + length, negated))
         i += length
     return mentions

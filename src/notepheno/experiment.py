@@ -13,7 +13,7 @@ import hashlib
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +154,13 @@ _TOP_LEVEL_KEYS = {
     "multilabel",
     "vocab_min_count",
 } | set(_SECTION_TYPES)
+# Section fields run_experiment sets itself, and where their values come from.
+_DERIVED_FIELDS = {
+    ("split", "seed"): "the split seed is derived from the root seed",
+    ("pretrain", "seed"): "the pretraining seed is derived from the root seed",
+    ("cnn", "seed"): "each CNN's seed is derived from the root seed",
+    ("cnn", "n_heads"): "the CNN has one head per phenotype it is trained for",
+}
 
 
 def _has_type(value, annotation) -> bool:
@@ -204,10 +211,13 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         if section in data:
             if not isinstance(data[section], dict):
                 raise ConfigError(f"config section {section!r} must be a JSON object")
-            body = dict(data[section])
+            body = data[section]
             _check_types(cls, body, f"{section}.")
-            if section == "cnn" and "filter_widths" in body:
-                body["filter_widths"] = tuple(body["filter_widths"])
+            for key in body:
+                if (section, key) in _DERIVED_FIELDS:
+                    raise ConfigError(
+                        f"{section}.{key} cannot be set: {_DERIVED_FIELDS[section, key]}"
+                    )
             try:
                 kwargs[section] = cls(**body)
             except TypeError as exc:
@@ -231,12 +241,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return experiment_config_from_dict(data)
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    data = asdict(config)
-    data["cnn"]["filter_widths"] = list(config.cnn.filter_widths)
-    return data
 
 
 @dataclass
@@ -271,12 +275,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     if any(m in CONCEPT_MODELS for m in config.models):
         dictionary = read_dictionary(config.dictionary_path)
 
-    split_spec = SplitSpec(
-        train_fraction=config.split.train_fraction,
-        val_fraction=config.split.val_fraction,
-        test_fraction=config.split.test_fraction,
-        seed=derive_seed(config.seed, "split"),
-    )
+    split_spec = replace(config.split, seed=derive_seed(config.seed, "split"))
     train_notes, val_notes, test_notes = split_dataset(notes, split_spec)
     split_hash = write_split_manifest(out_dir / "split", train_notes, val_notes, test_notes)
     say(f"split: {len(train_notes)} train / {len(val_notes)} val / {len(test_notes)} test")
@@ -318,14 +317,7 @@ def _run_cnn(
     config, vocab, tokens_by_id, unlabeled, train_notes, val_notes, test_notes,
     out_dir, derived_seeds, result, say,
 ):
-    pretrain_cfg = PretrainConfig(
-        dim=config.pretrain.dim,
-        window=config.pretrain.window,
-        negatives=config.pretrain.negatives,
-        epochs=config.pretrain.epochs,
-        learning_rate=config.pretrain.learning_rate,
-        seed=derive_seed(config.seed, "pretrain"),
-    )
+    pretrain_cfg = replace(config.pretrain, seed=derive_seed(config.seed, "pretrain"))
     derived_seeds["pretrain"] = pretrain_cfg.seed
     if unlabeled and pretrain_cfg.epochs > 0:
         say(f"pretraining embeddings on {len(unlabeled)} unlabeled notes")
@@ -343,9 +335,7 @@ def _run_cnn(
         tag = "multilabel" if len(heads) > 1 else heads[0]
         seed = derive_seed(config.seed, f"train:cnn:{tag}")
         derived_seeds[f"train:cnn:{tag}"] = seed
-        cnn_cfg = cnn.CnnConfig(**{**asdict(config.cnn), "n_heads": len(heads), "seed": seed})
-        cnn_cfg.filter_widths = tuple(config.cnn.filter_widths)
-        model = cnn.init_model(cnn_cfg, emb)
+        model = cnn.init_model(replace(config.cnn, n_heads=len(heads), seed=seed), emb)
 
         def data_for(split_notes):
             pairs = []
@@ -388,12 +378,7 @@ def _run_baseline(
     derived_seeds[f"train:{name}:{phenotype}"] = seed
     say(f"training {name} [{phenotype}]")
     if kind == "logreg":
-        model = baselines.train_logreg(
-            X_train, y,
-            l2_lambda=config.baselines.logreg_l2_lambda,
-            seed=seed,
-            n_features=space.n_features,
-        )
+        model = baselines.train_logreg(X_train, y, l2_lambda=config.baselines.logreg_l2_lambda)
     else:
         model = baselines.train_rf(
             X_train, y,
@@ -401,7 +386,6 @@ def _run_baseline(
             max_depth=config.baselines.rf_max_depth,
             n_features_per_split=config.baselines.rf_n_features_per_split,
             seed=seed,
-            n_features=space.n_features,
         )
     ckpt = out_dir / "checkpoints" / f"{name}__{phenotype}.json"
     baselines.save_baseline_checkpoint(kind, model, space, pipeline, ckpt)
@@ -410,9 +394,7 @@ def _run_baseline(
     probs = baselines.predict_proba(
         kind, model, baselines.pipeline_vectors(pipeline, test_counts, space)
     )
-    result.metrics[(phenotype, name)] = score_predictions(
-        [p >= 0.5 for p in probs], test_notes, phenotype
-    )
+    result.metrics[(phenotype, name)] = score_predictions(probs >= 0.5, test_notes, phenotype)
 
 
 def _pct(value: float | None) -> str:
@@ -422,7 +404,7 @@ def _pct(value: float | None) -> str:
 def _report_header(config, split_hash) -> list[str]:
     """Comment lines embedding the resolved config (minus environment paths,
     which would tie report bytes to where outputs land) and format version."""
-    semantic = config_to_dict(config)
+    semantic = asdict(config)
     for key in ("labeled_path", "unlabeled_path", "dictionary_path", "output_dir"):
         semantic.pop(key, None)
     return [
@@ -460,7 +442,7 @@ def _write_reports(config, result, split_hash, derived_seeds, out_dir):
 
     echo = {
         "format_version": REPORT_FORMAT_VERSION,
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "derived_seeds": derived_seeds,
         "split_manifest_sha256": split_hash,
     }

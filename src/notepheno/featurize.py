@@ -1,8 +1,8 @@
-"""Sparse feature extraction: n-gram counts and smoothed TF-IDF vectors.
+"""Sparse feature extraction: n-gram counts and smoothed TF-IDF matrices.
 
 Feature keys are hashable objects: n-gram tuples of tokens, or
-(concept_id, negated) pairs coming out of the concept matcher. A feature
-vector is a plain {column index: value} dict with no explicit zeros.
+(concept_id, negated) pairs coming out of the concept matcher. A corpus
+becomes one CSR matrix with a row per document and a column per fitted key.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from scipy import sparse
+
 FeatureKey = tuple
-FeatureVector = dict[int, float]
 
 IDF_VARIANT = "smooth-ln((1+N)/(1+df))+1, l2-normalized documents"
 
@@ -69,29 +70,36 @@ def fit_feature_space(corpus_counts: list[dict[FeatureKey, int]]) -> FeatureSpac
     return FeatureSpace(feature_to_index=feature_to_index, idf=idf)
 
 
-def count_transform(counts: dict[FeatureKey, int], space: FeatureSpace) -> FeatureVector:
-    """Raw count vector over the fitted columns; unseen features are dropped."""
-    vec: FeatureVector = {}
-    for key, count in counts.items():
-        idx = space.feature_to_index.get(key)
-        if idx is not None and count:
-            vec[idx] = float(count)
-    return vec
+def transform(
+    corpus_counts: list[dict[FeatureKey, int]], space: FeatureSpace, tfidf: bool
+) -> sparse.csr_matrix:
+    """One row per document over the fitted columns; unseen features are dropped.
 
-
-def tfidf_transform(counts: dict[FeatureKey, int], space: FeatureSpace) -> FeatureVector:
-    """count * idf per column, then L2-normalized (the zero vector stays zero)."""
-    if space.idf is None:
+    A row holds the raw counts, or with tfidf count * idf L2-normalized (the
+    zero row stays zero). Each row's squares are summed in its counts' order.
+    """
+    if tfidf and space.idf is None:
         raise ValueError("feature space has no fitted idf")
-    vec: FeatureVector = {}
-    for key, count in counts.items():
-        idx = space.feature_to_index.get(key)
-        if idx is not None and count:
-            vec[idx] = count * space.idf[idx]
-    norm = math.sqrt(sum(v * v for v in vec.values()))
-    if norm > 0:
-        vec = {idx: v / norm for idx, v in vec.items()}
-    return vec
+    rows, cols, vals = [], [], []
+    for r, counts in enumerate(corpus_counts):
+        start = len(vals)
+        for key, count in counts.items():
+            idx = space.feature_to_index.get(key)
+            if idx is not None and count:
+                rows.append(r)
+                cols.append(idx)
+                vals.append(count * space.idf[idx] if tfidf else float(count))
+        norm = math.sqrt(sum(v * v for v in vals[start:])) if tfidf else 0.0
+        if norm > 0:
+            vals[start:] = [v / norm for v in vals[start:]]
+    # COO -> CSR sorts each row's columns, so products sum in column order
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(corpus_counts), space.n_features))
+
+
+def tfidf_transform(counts: dict[FeatureKey, int], space: FeatureSpace) -> dict[int, float]:
+    """One document's TF-IDF row as a {column: value} dict with no explicit zeros."""
+    row = transform([counts], space, tfidf=True)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
 def feature_key_to_json(key: FeatureKey) -> list:

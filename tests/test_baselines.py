@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import baselines_oracle as oracle
 from notepheno.baselines import (
     Forest,
     LinearModel,
     TreeNode,
     load_baseline_checkpoint,
     logreg_objective_and_grads,
-    predict_logreg,
-    predict_rf,
+    predict_proba,
     save_baseline_checkpoint,
     train_logreg,
     train_rf,
@@ -24,40 +24,46 @@ def random_dataset(seed, n=30, d=5):
     X = [{j: float(rng.normal()) for j in range(d)} for _ in range(n)]
     w_true = rng.normal(0, 1, d)
     y = [int(sum(w_true[j] * x[j] for j in x) > 0) for x in X]
-    return X, y
+    return vectors_to_csr(X, d), y
+
+
+def lr_probs(model, X):
+    """predict_proba of a logistic regression on {column: value} rows."""
+    return predict_proba("logreg", model, vectors_to_csr(X, len(model.weights)))
+
+
+def rf_probs(forest, X, d):
+    return predict_proba("random_forest", forest, vectors_to_csr(X, d))
 
 
 class TestLogreg:
     def test_separable_data_fits_perfectly(self):
         X = [{0: -1.0}, {0: 1.0}]
         y = [0, 1]
-        model = train_logreg(X, y, l2_lambda=0.01, n_features=1)
-        preds = [int(predict_logreg(model, x) >= 0.5) for x in X]
-        assert preds == y
+        model = train_logreg(vectors_to_csr(X, 1), y, l2_lambda=0.01)
+        assert (lr_probs(model, X) >= 0.5).astype(int).tolist() == y
 
     def test_zero_model_predicts_half(self):
         model = LinearModel(weights=np.zeros(4), bias=0.0, l2_lambda=1.0)
-        assert predict_logreg(model, {0: 3.0, 2: -1.0}) == 0.5
+        assert lr_probs(model, [{0: 3.0, 2: -1.0}]).tolist() == [0.5]
 
     def test_huge_lambda_shrinks_weights(self):
         X, y = random_dataset(0)
         with pytest.warns(UserWarning, match="iteration cap"):
-            model = train_logreg(X, y, l2_lambda=1e6, n_features=5)
+            model = train_logreg(X, y, l2_lambda=1e6)
         assert float(np.linalg.norm(model.weights)) < 1e-2
 
     def test_sigmoid_analytic_value(self):
         model = LinearModel(weights=np.array([np.log(3.0)]), bias=0.0, l2_lambda=0.0)
-        assert predict_logreg(model, {0: 1.0}) == pytest.approx(0.75)
+        assert lr_probs(model, [{0: 1.0}])[0] == pytest.approx(0.75)
 
     def test_monotone_in_positive_weight(self):
         model = LinearModel(weights=np.array([0.7, -0.2]), bias=0.1, l2_lambda=0.0)
-        lo = predict_logreg(model, {0: 1.0, 1: 2.0})
-        hi = predict_logreg(model, {0: 3.0, 1: 2.0})
+        lo, hi = lr_probs(model, [{0: 1.0, 1: 2.0}, {0: 3.0, 1: 2.0}])
         assert hi >= lo
 
     def test_gradient_matches_finite_differences(self):
-        X, y = random_dataset(3, n=12, d=4)
-        X_csr = vectors_to_csr(X, 4)
+        X_csr, y = random_dataset(3, n=12, d=4)
         y_arr = np.asarray(y, dtype=float)
         rng = np.random.default_rng(9)
         w = rng.normal(0, 0.5, 4)
@@ -81,19 +87,18 @@ class TestLogreg:
     def test_objective_non_increasing_with_regularization(self):
         X, y = random_dataset(0)
         history = []
-        train_logreg(X, y, l2_lambda=0.5, n_features=5, max_iters=300,
-                     objective_history=history)
+        train_logreg(X, y, l2_lambda=0.5, max_iters=300, objective_history=history)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_single_class_capped_with_warning(self):
-        X = [{0: 1.0}, {0: 2.0}, {0: 3.0}]
+        X = vectors_to_csr([{0: 1.0}, {0: 2.0}, {0: 3.0}], 1)
         with pytest.warns(UserWarning, match="iteration cap"):
-            model = train_logreg(X, [1, 1, 1], l2_lambda=0.0, n_features=1, max_iters=50)
+            model = train_logreg(X, [1, 1, 1], l2_lambda=0.0, max_iters=50)
         assert np.all(np.isfinite(model.weights))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            train_logreg([], [], n_features=1)
+            train_logreg(vectors_to_csr([], 1), [])
 
 
 def xor_dataset(copies=25):
@@ -105,29 +110,28 @@ def xor_dataset(copies=25):
     ]
     X = [x for x, _ in pts] * copies
     y = [label for _, label in pts] * copies
-    return X, y
+    return vectors_to_csr(X, 2), y
 
 
 class TestRandomForest:
     def test_pure_labels_give_single_leaf_trees(self):
-        X = [{0: 1.0}, {0: 2.0}, {0: 3.0}]
-        forest = train_rf(X, [1, 1, 1], n_trees=5, seed=0, n_features=1)
+        X = vectors_to_csr([{0: 1.0}, {0: 2.0}, {0: 3.0}], 1)
+        forest = train_rf(X, [1, 1, 1], n_trees=5, seed=0)
         for tree in forest.trees:
             assert tree.is_leaf and tree.fraction == 1.0
 
     def test_xor_learned_without_bootstrap(self):
         X, y = xor_dataset()
         forest = train_rf(
-            X, y, n_trees=10, max_depth=4, n_features_per_split=2,
-            seed=0, n_features=2, bootstrap=False,
+            X, y, n_trees=10, max_depth=4, n_features_per_split=2, seed=0, bootstrap=False,
         )
-        preds = [int(predict_rf(forest, x) >= 0.5) for x in X]
-        assert preds == y
+        preds = predict_proba("random_forest", forest, X) >= 0.5
+        assert preds.astype(int).tolist() == y
 
     def test_same_seed_identical_forests(self):
         X, y = random_dataset(1, n=40, d=4)
-        f1 = train_rf(X, y, n_trees=8, seed=5, n_features=4)
-        f2 = train_rf(X, y, n_trees=8, seed=5, n_features=4)
+        f1 = train_rf(X, y, n_trees=8, seed=5)
+        f2 = train_rf(X, y, n_trees=8, seed=5)
 
         def dump(node):
             if node.is_leaf:
@@ -138,82 +142,123 @@ class TestRandomForest:
 
     def test_prediction_invariant_to_tree_order(self):
         X, y = random_dataset(2, n=30, d=3)
-        forest = train_rf(X, y, n_trees=7, seed=3, n_features=3)
+        forest = train_rf(X, y, n_trees=7, seed=3)
         reordered = Forest(
             trees=list(reversed(forest.trees)),
             n_features_per_split=forest.n_features_per_split,
             seed=forest.seed,
         )
-        for x in X[:10]:
-            assert predict_rf(forest, x) == pytest.approx(predict_rf(reordered, x))
+        np.testing.assert_allclose(
+            predict_proba("random_forest", forest, X), predict_proba("random_forest", reordered, X)
+        )
 
     def test_duplicated_tree_pulls_prediction_toward_it(self):
         leaf_low = TreeNode(fraction=0.0)
         leaf_high = TreeNode(fraction=1.0)
         forest = Forest(trees=[leaf_low, leaf_high], n_features_per_split=1, seed=0)
-        base = predict_rf(forest, {})
-        pulled = predict_rf(
-            Forest(trees=[leaf_low, leaf_high, leaf_high], n_features_per_split=1, seed=0), {}
-        )
+        base = rf_probs(forest, [{}], 1)[0]
+        pulled = rf_probs(
+            Forest(trees=[leaf_low, leaf_high, leaf_high], n_features_per_split=1, seed=0), [{}], 1
+        )[0]
         assert base == pytest.approx(0.5)
         assert pulled > base
 
     def test_single_full_tree_has_zero_training_error(self):
         X, y = random_dataset(7, n=50, d=4)
         forest = train_rf(
-            X, y, n_trees=1, max_depth=None, n_features_per_split=2,
-            seed=11, n_features=4, bootstrap=False,
+            X, y, n_trees=1, max_depth=None, n_features_per_split=2, seed=11, bootstrap=False,
         )
-        preds = [int(predict_rf(forest, x) >= 0.5) for x in X]
-        assert preds == y
+        preds = predict_proba("random_forest", forest, X) >= 0.5
+        assert preds.astype(int).tolist() == y
 
     def test_single_leaf_forest_returns_fraction(self):
         forest = Forest(trees=[TreeNode(fraction=0.8)], n_features_per_split=1, seed=0)
-        assert predict_rf(forest, {0: 5.0}) == pytest.approx(0.8)
+        assert rf_probs(forest, [{0: 5.0}], 1)[0] == pytest.approx(0.8)
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError):
-            predict_rf(Forest(trees=[], n_features_per_split=1, seed=0), {})
+            rf_probs(Forest(trees=[], n_features_per_split=1, seed=0), [{}], 1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_prediction_in_unit_interval(self, seed):
         X, y = random_dataset(4, n=20, d=3)
-        forest = train_rf(X, y, n_trees=3, max_depth=3, seed=seed, n_features=3)
+        forest = train_rf(X, y, n_trees=3, max_depth=3, seed=seed)
         rng = np.random.default_rng(seed)
         x = {j: float(rng.normal()) for j in range(3)}
-        assert 0.0 <= predict_rf(forest, x) <= 1.0
+        assert 0.0 <= rf_probs(forest, [x], 3)[0] <= 1.0
 
 
 class TestCheckpoints:
     def test_logreg_roundtrip_bit_exact(self, tmp_path):
         X, y = random_dataset(5)
         space = fit_feature_space([{("tok", str(j)): 1 for j in range(5)}])
-        model = train_logreg(X, y, l2_lambda=0.5, n_features=5)
+        model = train_logreg(X, y, l2_lambda=0.5)
         path = tmp_path / "lr.json"
         pipeline = {"model": "2gram-lr", "phenotype": "p", "features": "ngram", "n": 2, "tfidf": False}
         save_baseline_checkpoint("logreg", model, space, pipeline, path)
         kind, loaded, loaded_space, loaded_pipeline = load_baseline_checkpoint(path)
         assert kind == "logreg" and loaded_pipeline == pipeline
         assert loaded_space.feature_to_index == space.feature_to_index
-        for x in X[:10]:
-            assert predict_logreg(loaded, x) == predict_logreg(model, x)
+        assert predict_proba("logreg", loaded, X).tolist() == predict_proba("logreg", model, X).tolist()
 
     def test_rf_roundtrip_bit_exact(self, tmp_path):
         X, y = random_dataset(6, n=40, d=3)
-        space = fit_feature_space([{("cui", True): 1, ("cui", False): 2}])
-        forest = train_rf(X, y, n_trees=5, max_depth=4, seed=2, n_features=3)
+        space = fit_feature_space([{("cui", True): 1, ("cui", False): 2, ("cui2", False): 1}])
+        forest = train_rf(X, y, n_trees=5, max_depth=4, seed=2)
         path = tmp_path / "rf.json"
         pipeline = {"model": "ctakes-rf", "phenotype": "p", "features": "concepts",
                     "filtered": False, "tfidf": True}
         save_baseline_checkpoint("random_forest", forest, space, pipeline, path)
         kind, loaded, _, _ = load_baseline_checkpoint(path)
         assert kind == "random_forest"
-        for x in X[:10]:
-            assert predict_rf(loaded, x) == predict_rf(forest, x)
+        assert (predict_proba("random_forest", loaded, X).tolist()
+                == predict_proba("random_forest", forest, X).tolist())
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         space = fit_feature_space([{"a": 1}])
         with pytest.raises(ValueError, match="unknown baseline kind"):
             save_baseline_checkpoint("svm", LinearModel(np.zeros(1), 0.0, 1.0), space, {}, path)
+
+
+def random_rows(seed, n, d):
+    """n sparse {column: value} rows over d columns: some empty, some dense."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        cols = rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False) if d else []
+        rows.append({int(c): float(rng.choice([0.5, 1.0, 2.0, rng.normal()])) for c in cols})
+    return rows
+
+
+class TestPredictAgainstOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(0, 12), st.integers(1, 140))
+    def test_forest_equals_the_oracle_exactly(self, seed, d, n_trees):
+        train = random_rows(seed, 30, d)
+        y = [int(sum(x.values()) > 1.0) for x in train]
+        forest = train_rf(vectors_to_csr(train, d), y, n_trees=n_trees, max_depth=6, seed=seed)
+        rows = random_rows(seed + 1, 25, d) + train[:5]
+        got = rf_probs(forest, rows, d)
+        assert got.tolist() == [oracle.predict_rf(forest, x) for x in rows]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(0, 12))
+    def test_logreg_within_1e12_of_the_oracle_with_equal_labels(self, seed, d):
+        rng = np.random.default_rng(seed)
+        model = LinearModel(weights=rng.normal(0, 2, d), bias=float(rng.normal()), l2_lambda=1.0)
+        rows = random_rows(seed, 30, d)
+        got = lr_probs(model, rows)
+        want = np.array([oracle.predict_logreg(model, x) for x in rows])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert ((got >= 0.5) == (want >= 0.5)).all()
+
+    def test_zero_feature_space_predicts_the_training_fraction(self):
+        X = vectors_to_csr([{}, {}, {}, {}], 0)
+        forest = train_rf(X, [1, 0, 1, 1], n_trees=3, seed=1, bootstrap=False)
+        assert forest.n_features_per_split == 1
+        assert predict_proba("random_forest", forest, X).tolist() == [0.75] * 4
+        model = train_logreg(X, [1, 0, 1, 1])
+        assert model.weights.shape == (0,)
+        assert predict_proba("logreg", model, X).tolist() == [oracle.predict_logreg(model, {})] * 4

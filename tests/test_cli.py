@@ -340,8 +340,11 @@ def test_explain_top_k_below_one_is_config_error(workspace, tmp_path, capsys, to
 
 @pytest.mark.parametrize(
     "override",
-    [{"cnn": "x"}, {"pretrain": [1]}, {"split": {"train_fraction": "0.7"}}],
-    ids=["section-string", "section-list", "field-type"],
+    [{"cnn": "x"}, {"pretrain": [1]}, {"split": {"train_fraction": "0.7"}},
+     {"split": {"seed": 1}}, {"pretrain": {"seed": 1}}, {"cnn": {"seed": 1}},
+     {"cnn": {"n_heads": 2}}],
+    ids=["section-string", "section-list", "field-type",
+         "split-seed", "pretrain-seed", "cnn-seed", "cnn-n-heads"],
 )
 def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override):
     cfg_path = tmp_path / "bad.json"
@@ -457,6 +460,16 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
             lambda doc: doc["model"].update(weights=[doc["model"]["weights"]]))), 4,
             id="logreg-nested-weights"),
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json",
+            lambda doc: doc["model"].update(weights=doc["model"]["weights"][1:]))), 4,
+            id="logreg-weight-missing"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees(
+                [{"feature": -1, "threshold": 0.5, "left": {"fraction": 0.0},
+                  "right": {"fraction": 1.0}}])),
+            "--dictionary", str(ws["paths"]["dictionary"])), 4,
+            id="forest-feature-out-of-range"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"].update(idf=[])),
             "--dictionary", str(ws["paths"]["dictionary"])), 4,
             id="space-without-idf"),
@@ -517,3 +530,32 @@ def test_evaluate_reproduces_the_run_experiment_rows(tmp_path):
                      "--corpus", str(test_corpus), "--dictionary", str(paths["dictionary"]),
                      "--out", str(report)]) == 0
         assert report.read_text().splitlines()[1] == row
+
+
+def test_phenotype_without_dictionary_entries(tmp_path):
+    """filter-* models of a phenotype the dictionary tags no entry with fit a
+    zero-feature space: both commands still exit 0 with one row per model."""
+    spec = SyntheticSpec(n_notes=60, vocab_size=40, n_phenotypes=2, seed=3)
+    paths = generate_synthetic_corpus(spec, tmp_path / "corpus")
+    text = paths["dictionary"].read_text()
+    paths["dictionary"].write_text(text.replace(",pheno1", "").replace("pheno1", ""))
+    out = tmp_path / "out"
+    models = ["filter-lr", "filter-rf"]
+    config = {"labeled_path": str(paths["labeled"]), "dictionary_path": str(paths["dictionary"]),
+              "output_dir": str(out), "phenotypes": ["pheno1"], "models": models,
+              "seed": 1, "baselines": {"rf_n_trees": 5}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.warns(UserWarning, match="no dictionary entries tagged"):
+        assert main(["run-experiment", "--config", str(cfg_path)]) == 0
+    lines = (out / "reports" / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines if line.startswith("pheno1,")] == models
+    for name in models:
+        ckpt = json.loads((out / "checkpoints" / f"{name}__pheno1.json").read_text())
+        assert ckpt["feature_space"]["features"] == []
+        report = tmp_path / f"{name}.csv"
+        with pytest.warns(UserWarning, match="no dictionary entries tagged"):
+            assert main(["evaluate", "--checkpoint", str(out / "checkpoints" / f"{name}__pheno1.json"),
+                         "--corpus", str(paths["labeled"]), "--dictionary", str(paths["dictionary"]),
+                         "--out", str(report)]) == 0
+        assert len(report.read_text().splitlines()) == 2

@@ -1,17 +1,24 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import baselines_oracle as oracle
 from notepheno.featurize import (
-    count_transform,
+    FeatureSpace,
     extract_ngrams,
     feature_key_from_json,
     feature_key_to_json,
     fit_feature_space,
     tfidf_transform,
+    transform,
 )
+
+
+def rows(X) -> list[dict[int, float]]:
+    """The {column: value} dict of each row of a CSR matrix."""
+    return [dict(zip(X[r].indices.tolist(), X[r].data.tolist())) for r in range(X.shape[0])]
 
 
 class TestNgrams:
@@ -83,7 +90,13 @@ class TestTfidf:
 
     def test_count_transform_keeps_raw_counts(self):
         space = fit_feature_space([{"a": 1, "b": 2}])
-        assert count_transform({"a": 3, "b": 1, "zzz": 9}, space) == {0: 3.0, 1: 1.0}
+        X = transform([{"a": 3, "b": 1, "zzz": 9}], space, tfidf=False)
+        assert rows(X) == [{0: 3.0, 1: 1.0}]
+
+    def test_tfidf_needs_a_fitted_idf(self):
+        space = FeatureSpace(feature_to_index={"a": 0})
+        with pytest.raises(ValueError, match="no fitted idf"):
+            transform([{"a": 1}], space, tfidf=True)
 
 
 counts_strategy = st.dictionaries(
@@ -124,3 +137,27 @@ class TestKeySerialization:
     )
     def test_roundtrip(self, key):
         assert feature_key_from_json(feature_key_to_json(key)) == key
+
+
+# Documents over a ten-key pool, so rows reach 8+ features (where a pairwise
+# sum would part from a sequential one), with keys the space never saw and
+# empty documents.
+pool_counts = st.dictionaries(
+    st.sampled_from([f"k{j}" for j in range(10)] + ["unseen"]), st.integers(0, 9), max_size=11
+)
+
+
+class TestMatrixAgainstOracle:
+    @given(st.lists(pool_counts, max_size=6), st.lists(pool_counts, min_size=1, max_size=6),
+           st.booleans())
+    @example(fit_docs=[], docs=[{"k0": 1}, {}], tfidf=True)
+    def test_rows_equal_the_oracle_dicts_bit_for_bit(self, fit_docs, docs, tfidf):
+        # no fit documents, or only empty ones, give a zero-feature space
+        space = fit_feature_space([{k: c for k, c in d.items() if k != "unseen"} for d in fit_docs] or [{}])
+        one = oracle.tfidf_transform if tfidf else oracle.count_transform
+        X = transform(docs, space, tfidf)
+        assert X.shape == (len(docs), space.n_features)
+        assert rows(X) == [one(doc, space) for doc in docs]
+        assert all(X[r].indices.tolist() == sorted(X[r].indices) for r in range(len(docs)))
+        if tfidf:
+            assert tfidf_transform(docs[0], space) == one(docs[0], space)
