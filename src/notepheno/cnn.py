@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
-from .corpus import PAD_ID, Vocabulary
+from .corpus import PAD_ID, Vocabulary, require_finite
 from .embeddings import EmbeddingMatrix
 from .metrics import confusion, f1
 from .optim import AdadeltaState, adadelta_step
@@ -55,6 +55,7 @@ class CnnConfig:
         self.filter_widths = tuple(self.filter_widths)
 
     def validate(self):
+        require_finite(self)
         widths = self.filter_widths
         if not widths or len(set(widths)) != len(widths) or any(w < 1 for w in widths):
             raise ValueError(f"filter widths must be distinct and >= 1, got {widths}")

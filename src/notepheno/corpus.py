@@ -9,7 +9,7 @@ import random
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 PAD_ID = 0
@@ -111,6 +111,15 @@ def build_vocabulary(corpus: list[list[str]], min_count: int = 2) -> Vocabulary:
     return Vocabulary.from_tokens(kept, min_count)
 
 
+def require_finite(cfg) -> None:
+    """ValueError naming the first float field of a config dataclass that is NaN
+    or infinite; a range check such as `x <= 0` lets NaN through."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value}")
+
+
 @dataclass
 class SplitSpec:
     """Train/validation/test fractions plus the shuffle seed."""
@@ -121,6 +130,7 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self):
+        require_finite(self)
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f <= 0 for f in fracs):
             raise ValueError(f"split fractions must be positive, got {fracs}")

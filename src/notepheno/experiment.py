@@ -24,6 +24,7 @@ from .corpus import (
     SplitSpec,
     build_vocabulary,
     load_notes_jsonl,
+    require_finite,
     split_dataset,
     tokenize,
     write_split_manifest,
@@ -99,6 +100,9 @@ class BaselineConfig:
     rf_max_depth: int | None = None
     rf_n_features_per_split: int | None = None  # None -> ceil(sqrt(D))
 
+    def validate(self):
+        require_finite(self)
+
 
 @dataclass
 class ExperimentConfig:
@@ -133,6 +137,7 @@ class ExperimentConfig:
             self.split.validate()
             self.pretrain.validate()
             self.cnn.validate()
+            self.baselines.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .concepts import ConceptDictionary, ConceptEntry, save_dictionary
-from .corpus import Note, save_notes_jsonl
+from .corpus import Note, require_finite, save_notes_jsonl
 
 
 @dataclass
@@ -35,6 +35,7 @@ class SyntheticSpec:
     n_unlabeled: int | None = None  # defaults to n_notes
 
     def validate(self):
+        require_finite(self)
         if self.n_notes < 1 or self.vocab_size < 1 or self.n_phenotypes < 1:
             raise ValueError("n_notes, vocab_size, and n_phenotypes must be positive")
         if self.phrases_per_phenotype < 1 or self.phrase_length < 1:

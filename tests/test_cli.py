@@ -66,6 +66,16 @@ class TestPretrainCommand:
                      "--out", str(tmp_path / "e.txt")])
         assert code == 3
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_unusable_learning_rate_is_config_error(self, tmp_path, workspace, capsys, lr):
+        out = tmp_path / "e.txt"
+        code = main(["pretrain", "--corpus", str(workspace["paths"]["unlabeled"]),
+                     "--out", str(out), "--lr", lr])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "learning_rate" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSplitCommand:
     def test_writes_manifest(self, tmp_path, workspace):
@@ -342,9 +352,15 @@ def test_explain_top_k_below_one_is_config_error(workspace, tmp_path, capsys, to
     "override",
     [{"cnn": "x"}, {"pretrain": [1]}, {"split": {"train_fraction": "0.7"}},
      {"split": {"seed": 1}}, {"pretrain": {"seed": 1}}, {"cnn": {"seed": 1}},
-     {"cnn": {"n_heads": 2}}],
+     {"cnn": {"n_heads": 2}}, {"pretrain": {"learning_rate": float("nan")}},
+     {"pretrain": {"learning_rate": 0}}, {"cnn": {"max_norm": float("nan")}},
+     {"cnn": {"adadelta_eps": float("nan")}}, {"cnn": {"max_norm": float("inf")}},
+     {"split": {"train_fraction": float("nan")}},
+     {"baselines": {"logreg_l2_lambda": float("inf")}}],
     ids=["section-string", "section-list", "field-type",
-         "split-seed", "pretrain-seed", "cnn-seed", "cnn-n-heads"],
+         "split-seed", "pretrain-seed", "cnn-seed", "cnn-n-heads",
+         "pretrain-lr-nan", "pretrain-lr-zero", "cnn-max-norm-nan", "cnn-eps-nan",
+         "cnn-max-norm-inf", "split-fraction-nan", "baselines-lambda-inf"],
 )
 def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override):
     cfg_path = tmp_path / "bad.json"

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import embeddings_oracle as oracle
 from notepheno.corpus import PAD_ID, build_vocabulary
 from notepheno.embeddings import (
+    MIN_LR_FRACTION,
     EmbeddingMatrix,
     PretrainConfig,
+    _block_gradients,
+    _epoch_pairs,
+    _negative_sampling_cdf,
+    _sgns_block_step,
     init_embeddings,
     load_embeddings,
     nearest_neighbors,
     pretrain_embeddings,
     save_embeddings,
-    sgns_gradients,
-    sgns_loss,
 )
 
 
@@ -104,6 +110,31 @@ class TestPretraining:
             PretrainConfig(window=0).validate()
         with pytest.raises(ValueError):
             PretrainConfig(negatives=0).validate()
+        for lr in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="learning_rate"):
+                PretrainConfig(learning_rate=lr).validate()
+
+    def test_one_token_notes_give_no_pairs(self):
+        # No note has a neighbour, so no pair exists: the seeded init comes
+        # back unchanged and every epoch records a mean loss of 0.0, as in
+        # the per-pair loop.
+        corpus = [["a"], ["b"], ["a"], ["c"]]
+        vocab = build_vocabulary(corpus, min_count=1)
+        cfg = PretrainConfig(dim=4, epochs=3, seed=9)
+        losses, oracle_losses = [], []
+        emb = pretrain_embeddings(corpus, vocab, cfg, loss_history=losses)
+        oracle_emb = oracle.pretrain_embeddings(corpus, vocab, cfg, loss_history=oracle_losses)
+        np.testing.assert_array_equal(emb.vectors, init_embeddings(len(vocab), 4, seed=9).vectors)
+        np.testing.assert_array_equal(emb.vectors, oracle_emb.vectors)
+        assert losses == oracle_losses == [0.0, 0.0, 0.0]
+
+    def test_negative_sampling_cdf_matches_oracle(self):
+        sequences = [[2, 3, 3, 1], [], [5, 2, 0, 3], [1]]
+        ids = np.array([i for seq in sequences for i in seq])
+        np.testing.assert_array_equal(
+            _negative_sampling_cdf(ids, 7), oracle._negative_sampling_cdf(sequences, 7)
+        )
+        assert _negative_sampling_cdf(np.array([0, 0]), 3) is None
 
 
 class TestSgnsGradients:
@@ -113,16 +144,16 @@ class TestSgnsGradients:
         center = rng.normal(0, 0.5, 3)
         context = rng.normal(0, 0.5, 3)
         negatives = rng.normal(0, 0.5, (3, 3))
-        _, d_center, d_context, d_negs = sgns_gradients(center, context, negatives)
+        _, d_center, d_context, d_negs = oracle.sgns_gradients(center, context, negatives)
 
         h = 1e-5
         def check(vec, grad, setter):
             for i in range(vec.size):
                 orig = vec.flat[i]
                 vec.flat[i] = orig + h
-                up = sgns_loss(center, context, negatives)
+                up = oracle.sgns_loss(center, context, negatives)
                 vec.flat[i] = orig - h
-                down = sgns_loss(center, context, negatives)
+                down = oracle.sgns_loss(center, context, negatives)
                 vec.flat[i] = orig
                 fd = (up - down) / (2 * h)
                 if abs(grad.flat[i]) > 1e-8:
@@ -135,9 +166,141 @@ class TestSgnsGradients:
     def test_no_negatives(self):
         center = np.array([0.1, -0.2])
         context = np.array([0.3, 0.4])
-        loss, d_center, _, d_negs = sgns_gradients(center, context, np.zeros((0, 2)))
-        assert loss == pytest.approx(sgns_loss(center, context, np.zeros((0, 2))))
+        loss, d_center, _, d_negs = oracle.sgns_gradients(center, context, np.zeros((0, 2)))
+        assert loss == pytest.approx(oracle.sgns_loss(center, context, np.zeros((0, 2))))
         assert d_negs.shape == (0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    window=st.integers(1, 9),
+    data=st.data(),
+)
+def test_epoch_pairs_match_a_python_enumeration(lengths, window, data):
+    """Ragged notes (empty, one token, shorter than the window): the pair
+    arrays and learning rates equal the per-pair loop's, in its order."""
+    n = sum(lengths)
+    spans = data.draw(st.lists(st.integers(1, window), min_size=n, max_size=n))
+    epoch = data.draw(st.integers(0, 2))
+    epochs = epoch + data.draw(st.integers(1, 3))
+    cfg = PretrainConfig(window=window, learning_rate=0.025)
+    ids = 2 + 3 * np.arange(n)  # distinct ids, so a pair names its positions
+    total = epochs * n
+
+    expected = []
+    processed = epoch * n
+    start = 0
+    for length in lengths:
+        note = ids[start:start + length].tolist()
+        for t in range(length):
+            lr = max(
+                cfg.learning_rate * (1.0 - processed / total),
+                cfg.learning_rate * MIN_LR_FRACTION,
+            )
+            b = spans[start + t]
+            processed += 1
+            for offset in range(-b, b + 1):
+                pos = t + offset
+                if offset != 0 and 0 <= pos < length:
+                    expected.append((note[t], note[pos], lr))
+        start += length
+
+    centers, contexts, lrs = _epoch_pairs(
+        ids, np.array(lengths), np.array(spans, dtype=np.int64), cfg, epoch * n, total
+    )
+    assert list(zip(centers.tolist(), contexts.tolist(), lrs.tolist())) == expected
+
+
+def _tables(seed, vocab_size, dim):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0, 0.5, (vocab_size, dim)), rng.normal(0, 0.5, (vocab_size, dim))
+
+
+def _kept(targets):
+    return targets[:, 1:] != targets[:, :1]
+
+
+class TestBlockEngine:
+    """The block step against the per-pair oracle: sgns_gradients and the
+    update the per-pair loop applied after every pair."""
+
+    def test_disjoint_rows_equal_sequential_pair_updates(self):
+        w_in, w_out = _tables(3, 40, 5)
+        rng = np.random.default_rng(4)
+        centers = rng.permutation(np.arange(2, 40))[:6]
+        targets = rng.permutation(np.arange(2, 40))[:24].reshape(6, 4)
+        targets[1, 2] = targets[1, 0]  # a draw equal to its context is dropped
+        lrs = np.linspace(0.05, 0.02, 6)
+
+        expected_in, expected_out = w_in.copy(), w_out.copy()
+        for center, row, lr in zip(centers, targets, lrs):
+            context, draws = row[0], row[1:]
+            negs = draws[draws != context]
+            v, u_ctx, u_negs = expected_in[center], expected_out[context], expected_out[negs]
+            _, d_v, d_ctx, d_negs = oracle.sgns_gradients(v, u_ctx, u_negs)
+            expected_in[center] = v - lr * d_v
+            expected_out[context] = u_ctx - lr * d_ctx
+            np.subtract.at(expected_out, negs, lr * d_negs)
+
+        _sgns_block_step(w_in, w_out, centers, targets, _kept(targets), lrs, False)
+        np.testing.assert_allclose(w_in, expected_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_out, expected_out, rtol=0, atol=1e-12)
+
+    def test_repeated_rows_sum_per_pair_gradients_at_block_start(self):
+        w_in, w_out = _tables(5, 7, 4)
+        rng = np.random.default_rng(6)
+        centers = rng.integers(2, 7, 12)
+        targets = rng.integers(2, 7, (12, 5))
+        kept = _kept(targets)
+        assert len(set(centers.tolist())) < 12 and not kept.all() and kept.any()
+        lrs = rng.uniform(0.01, 0.1, 12)
+
+        delta_in, delta_out = np.zeros_like(w_in), np.zeros_like(w_out)
+        expected_loss = 0.0
+        for center, row, lr in zip(centers, targets, lrs):
+            negs = row[1:][row[1:] != row[0]]
+            loss, d_v, d_ctx, d_negs = oracle.sgns_gradients(
+                w_in[center], w_out[row[0]], w_out[negs]
+            )
+            expected_loss += loss
+            delta_in[center] += lr * d_v
+            delta_out[row[0]] += lr * d_ctx
+            np.add.at(delta_out, negs, lr * d_negs)
+        expected_in, expected_out = w_in - delta_in, w_out - delta_out
+
+        loss = _sgns_block_step(w_in, w_out, centers, targets, kept, lrs, True)
+        assert loss == pytest.approx(expected_loss, rel=0, abs=1e-12)
+        np.testing.assert_allclose(w_in, expected_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_out, expected_out, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("negatives_survive", [True, False], ids=["negatives", "none-kept"])
+    def test_block_gradient_matches_finite_differences(self, negatives_survive):
+        w_in, w_out = _tables(7, 6, 3)
+        rng = np.random.default_rng(8)
+        centers = rng.integers(1, 6, 5)
+        targets = rng.integers(1, 6, (5, 3))
+        kept = _kept(targets) if negatives_survive else np.zeros((5, 2), dtype=bool)
+        assert kept.any() == negatives_survive
+
+        _, d_centers, d_targets = _block_gradients(w_in, w_out, centers, targets, kept, False)
+        grad_in, grad_out = np.zeros_like(w_in), np.zeros_like(w_out)
+        np.add.at(grad_in, centers, d_centers)
+        np.add.at(grad_out, targets, d_targets)
+
+        def loss():
+            return _block_gradients(w_in, w_out, centers, targets, kept, True)[0]
+
+        h = 1e-6
+        for table, grad in ((w_in, grad_in), (w_out, grad_out)):
+            for i in range(table.size):
+                orig = table.flat[i]
+                table.flat[i] = orig + h
+                up = loss()
+                table.flat[i] = orig - h
+                down = loss()
+                table.flat[i] = orig
+                assert abs((up - down) / (2 * h) - grad.flat[i]) < 1e-7
 
 
 class TestNearestNeighbors:
