@@ -25,7 +25,7 @@ from .optim import AdadeltaState, adadelta_step
 
 LOGREG_MAX_ITERS = 2000
 LOGREG_GRAD_TOL = 1e-5
-BASELINE_FORMAT_VERSION = 1
+BASELINE_FORMAT_VERSION = 2
 
 # Baseline name -> (learner kind, feature pipeline). n-gram pipelines feed raw
 # n-gram counts; concept pipelines feed TF-IDF over (concept, negated) counts
@@ -169,27 +169,28 @@ def train_logreg(
 
 
 @dataclass
-class TreeNode:
-    """A leaf carries the positive fraction; an internal node carries a split."""
-
-    fraction: float | None = None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.fraction is not None
-
-
-@dataclass
 class Forest:
-    trees: list[TreeNode]
+    """All trees' nodes in parallel arrays, tree after tree, each in preorder;
+    roots holds each tree's first node. A leaf has feature == left == right ==
+    -1 and its positive fraction; a split sends a row left when value <=
+    threshold, and both its children come after it.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    fraction: np.ndarray
+    roots: np.ndarray
     n_features_per_split: int
     seed: int
     max_depth: int | None = None
     bootstrap: bool = True
+
+
+# The forest's arrays and the dtype of each.
+FOREST_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int,
+                 "fraction": float, "roots": int}
 
 
 def _gini(pos: int, n: int) -> float:
@@ -224,37 +225,6 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
     return best
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    max_depth: int | None,
-    n_features_per_split: int,
-    rng: np.random.Generator,
-) -> TreeNode:
-    n = len(y)
-    pos = int(y.sum())
-    if pos == 0 or pos == n or n < 2 or (max_depth is not None and depth >= max_depth):
-        return TreeNode(fraction=pos / n)
-    order = rng.permutation(X.shape[1])
-    k = min(n_features_per_split, X.shape[1])
-    best = _best_split(X, y, np.sort(order[:k]))
-    while best is None and k < X.shape[1]:
-        # the drawn subset admits no valid split; widen the search
-        best = _best_split(X, y, order[k : k + 1])
-        k += 1
-    if best is None:
-        return TreeNode(fraction=pos / n)
-    _, feature, threshold = best
-    mask = X[:, feature] <= threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow_tree(X[mask], y[mask], depth + 1, max_depth, n_features_per_split, rng),
-        right=_grow_tree(X[~mask], y[~mask], depth + 1, max_depth, n_features_per_split, rng),
-    )
-
-
 def train_rf(
     X: sparse.csr_matrix,
     y: list[int],
@@ -278,33 +248,46 @@ def train_rf(
     dense = X.toarray()
     y_arr = np.asarray(y, dtype=int)
 
-    trees = []
+    nodes: list[list] = []  # [feature, threshold, left, right, fraction] per node
+    roots = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         if bootstrap:
             sample = rng.integers(0, len(y_arr), size=len(y_arr))
         else:
             sample = np.arange(len(y_arr))
-        trees.append(
-            _grow_tree(dense[sample], y_arr[sample], 0, max_depth, n_features_per_split, rng)
-        )
+        roots.append(len(nodes))
+        # Nodes still to grow: (rows, labels, depth, the split whose right
+        # child it is). Popping a left child before its right sibling grows
+        # the tree, and draws from rng, in preorder, with no recursion limit.
+        stack = [(dense[sample], y_arr[sample], 0, None)]
+        while stack:
+            X_node, y_node, depth, parent = stack.pop()
+            if parent is not None:
+                nodes[parent][3] = len(nodes)
+            n, pos = len(y_node), int(y_node.sum())
+            best = None
+            if not (pos == 0 or pos == n or n < 2 or (max_depth is not None and depth >= max_depth)):
+                order = rng.permutation(X_node.shape[1])
+                k = min(n_features_per_split, X_node.shape[1])
+                best = _best_split(X_node, y_node, np.sort(order[:k]))
+                while best is None and k < X_node.shape[1]:
+                    # the drawn subset admits no valid split; widen the search
+                    best = _best_split(X_node, y_node, order[k : k + 1])
+                    k += 1
+            if best is None:
+                nodes.append([-1, 0.0, -1, -1, pos / n])
+                continue
+            _, feature, threshold = best
+            goes_left = X_node[:, feature] <= threshold
+            nodes.append([feature, threshold, len(nodes) + 1, -1, 0.0])
+            stack.append((X_node[~goes_left], y_node[~goes_left], depth + 1, len(nodes) - 1))
+            stack.append((X_node[goes_left], y_node[goes_left], depth + 1, None))
+    feature, threshold, left, right, fraction = np.array(nodes, dtype=float).reshape(-1, 5).T
     return Forest(
-        trees=trees,
-        n_features_per_split=n_features_per_split,
-        seed=seed,
-        max_depth=max_depth,
-        bootstrap=bootstrap,
+        feature.astype(int), threshold, left.astype(int), right.astype(int), fraction,
+        np.array(roots, dtype=int), n_features_per_split, seed, max_depth, bootstrap,
     )
-
-
-def _route(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray):
-    """Write node's leaf fraction into out at each row of X that reaches it."""
-    if node.is_leaf:
-        out[rows] = node.fraction
-        return
-    left = X[rows, node.feature] <= node.threshold
-    _route(node.left, X, rows[left], out)
-    _route(node.right, X, rows[~left], out)
 
 
 def predict_proba(kind: str, model: LinearModel | Forest, X: sparse.csr_matrix) -> np.ndarray:
@@ -315,41 +298,52 @@ def predict_proba(kind: str, model: LinearModel | Forest, X: sparse.csr_matrix) 
     """
     if kind == "logreg":
         return 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
-    if not model.trees:
+    n_trees = len(model.roots)
+    if not n_trees:
         raise ValueError("cannot predict with an empty forest")
     dense = X.toarray()
-    rows = np.arange(X.shape[0])
-    # (notes, trees): each note's trees are one contiguous row, which mean()
-    # sums the way np.mean sums one note's list of tree fractions
-    leaves = np.empty((X.shape[0], len(model.trees)))
-    for t, tree in enumerate(model.trees):
-        _route(tree, dense, rows, leaves[:, t])
-    return leaves.mean(axis=1)
+    # The node each (note, tree) pair has reached, flat in (notes, trees)
+    # order; every pair still at a split steps one level down at once.
+    node = np.tile(model.roots, X.shape[0])
+    active = np.flatnonzero(model.feature[node] >= 0)
+    while len(active):
+        at = node[active]
+        left = dense[active // n_trees, model.feature[at]] <= model.threshold[at]
+        node[active] = np.where(left, model.left[at], model.right[at])
+        active = active[model.feature[node[active]] >= 0]
+    # each note's trees are one contiguous row, which mean() sums the way
+    # np.mean sums one note's list of tree fractions
+    return model.fraction[node].reshape(-1, n_trees).mean(axis=1)
 
 
-def _tree_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"fraction": node.fraction}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_json(node.left),
-        "right": _tree_to_json(node.right),
-    }
-
-
-def _tree_from_json(data: dict, n_features: int) -> TreeNode:
-    if "fraction" in data:
-        return TreeNode(fraction=float(data["fraction"]))
-    feature = int(data["feature"])
-    if not 0 <= feature < n_features:
-        raise ValueError(f"a tree splits on feature {feature} of a {n_features}-feature space")
-    return TreeNode(
-        feature=feature,
-        threshold=float(data["threshold"]),
-        left=_tree_from_json(data["left"], n_features),
-        right=_tree_from_json(data["right"], n_features),
-    )
+def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
+    """The six node arrays of a forest payload, checked so that routing ends:
+    every node is a leaf or a split on a feature of the space whose children
+    both come after it, and the roots are non-empty and index nodes."""
+    arrays = {}
+    for key, dtype in FOREST_ARRAYS.items():
+        values = np.array(payload[key])
+        kinds = "i" if dtype is int else "if"  # an integer list is a float list too
+        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
+            raise ValueError(f"forest {key} must be a flat list of {dtype.__name__}s")
+        arrays[key] = values.astype(dtype)
+    feature, left, right, roots = (arrays[key] for key in ("feature", "left", "right", "roots"))
+    n = len(feature)
+    if len({len(values) for key, values in arrays.items() if key != "roots"}) > 1:
+        raise ValueError("forest node arrays differ in length")
+    index = np.arange(n)
+    leaf = (feature == -1) & (left == -1) & (right == -1)
+    split = (feature >= 0) & (feature < n_features) & (index < left) & (index < right)
+    split &= (left < n) & (right < n)
+    bad = np.flatnonzero(~(leaf | split))
+    if len(bad):
+        raise ValueError(
+            f"forest node {bad[0]} is neither a leaf nor a split on one of {n_features} "
+            f"features whose children come after it among the {n} nodes"
+        )
+    if not len(roots) or not ((roots >= 0) & (roots < n)).all():
+        raise ValueError(f"the forest's roots must be one or more of its {n} nodes")
+    return arrays
 
 
 def _space_to_json(space: FeatureSpace) -> dict:
@@ -391,7 +385,7 @@ def save_baseline_checkpoint(
     elif kind == "random_forest":
         assert isinstance(model, Forest)
         payload = {
-            "trees": [_tree_to_json(t) for t in model.trees],
+            **{key: getattr(model, key).tolist() for key in FOREST_ARRAYS},
             "n_features_per_split": model.n_features_per_split,
             "seed": model.seed,
             "max_depth": model.max_depth,
@@ -407,8 +401,7 @@ def save_baseline_checkpoint(
         "model": payload,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_baseline_checkpoint(path: str | Path, doc: dict | None = None):
@@ -421,8 +414,9 @@ def load_baseline_checkpoint(path: str | Path, doc: dict | None = None):
     if doc is None:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    if doc.get("format_version") != BASELINE_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format version")
+    version = doc.get("format_version")
+    if version != BASELINE_FORMAT_VERSION:
+        raise ValueError(f"{path}: format version {version!r}, expected {BASELINE_FORMAT_VERSION}")
     kind = doc["kind"]
     space = _space_from_json(doc["feature_space"])
     payload = doc["model"]
@@ -436,14 +430,12 @@ def load_baseline_checkpoint(path: str | Path, doc: dict | None = None):
             raise ValueError(f"{path}: logistic regression needs a flat list of one weight per feature")
     elif kind == "random_forest":
         model = Forest(
-            trees=[_tree_from_json(t, space.n_features) for t in payload["trees"]],
+            **_forest_arrays(payload, space.n_features),
             n_features_per_split=payload["n_features_per_split"],
             seed=payload["seed"],
             max_depth=payload["max_depth"],
             bootstrap=payload["bootstrap"],
         )
-        if not model.trees:
-            raise ValueError(f"{path}: the forest has no trees")
     else:
         raise ValueError(f"{path}: unknown baseline kind {kind!r}")
     _check_pipeline(kind, doc["pipeline"])

@@ -80,6 +80,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_split(args) -> int:
     notes = read_notes(args.corpus)
+    if not notes:
+        raise DataError(f"corpus {args.corpus} is empty")
     spec = SplitSpec(
         train_fraction=args.train_frac,
         val_fraction=args.val_frac,
@@ -154,7 +156,7 @@ def _read_checkpoint(path: str) -> tuple[str, tuple]:
             return kind, cnn.load_checkpoint(p, doc)
         if kind in ("logreg", "random_forest"):
             return kind, baselines.load_baseline_checkpoint(p, doc)[1:]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ModelLoadError(f"failed to load checkpoint {p}: {exc}") from exc
     raise ModelLoadError(f"checkpoint {p} has unknown kind {kind!r}")
 
@@ -162,6 +164,8 @@ def _read_checkpoint(path: str) -> tuple[str, tuple]:
 def cmd_evaluate(args) -> int:
     kind, loaded = _read_checkpoint(args.checkpoint)
     notes = read_notes(args.corpus)
+    if not notes:
+        raise DataError(f"corpus {args.corpus} is empty")
     if kind == "cnn":
         model, vocab, trained = loaded
     else:
@@ -210,7 +214,7 @@ def cmd_explain(args) -> int:
         try:
             with open(args.vocab, encoding="utf-8") as fh:
                 other = Vocabulary.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ModelLoadError(f"failed to read vocabulary {args.vocab}: {exc}") from exc
         if other.sha256() != vocab.sha256():
             raise ModelLoadError(

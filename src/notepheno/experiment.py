@@ -54,7 +54,7 @@ def read_notes(path: str | Path, what: str = "corpus") -> list[Note]:
     """The notes of a JSONL file; a missing or malformed file is a DataError (exit 3)."""
     try:
         return load_notes_jsonl(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"failed to read {what} {path}: {exc}") from exc
 
 
@@ -241,7 +241,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -295,8 +295,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     vocab_corpus += [tokens_by_id[n.note_id] for n in train_notes]
     vocab = build_vocabulary(vocab_corpus, min_count=config.vocab_min_count)
     with open(out_dir / "vocab.json", "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(vocab.to_dict(), sort_keys=True) + "\n")
 
     result = ExperimentResult(metrics={}, paths={"output_dir": out_dir}, split_hash=split_hash)
     derived_seeds: dict[str, int] = {"split": split_spec.seed}

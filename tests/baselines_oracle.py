@@ -1,20 +1,27 @@
-"""The per-note baseline code the feature matrix replaced, kept as a test oracle.
+"""The baseline code that the feature matrix and the forest's node arrays
+replaced, kept as a test oracle.
 
 count_transform and tfidf_transform turn one note's counts into a
 {column: value} dict; vectors_to_dense, predict_logreg, predict_tree and
-predict_rf read such dicts one note at a time. They are the former
-implementations, unchanged apart from imports. tests/test_featurize.py and
-tests/test_baselines.py check featurize.transform and baselines.predict_proba
-against them.
+predict_rf read such dicts one note at a time. TreeNode, _grow_tree, _route,
+_tree_to_json and _tree_from_json are the recursive forest and its v1
+checkpoint form; grow_forest and route_forest are the forest parts of the
+former train_rf and predict_proba. All of these are the former
+implementations, unchanged apart from imports. flatten lays TreeNode trees out
+as baselines.Forest's node arrays. tests/test_featurize.py and
+tests/test_baselines.py check featurize.transform, baselines.train_rf and
+baselines.predict_proba against them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from notepheno.baselines import Forest, LinearModel, TreeNode
+from notepheno.baselines import LinearModel, _best_split
 from notepheno.featurize import FeatureKey, FeatureSpace
 
 FeatureVector = dict[int, float]
@@ -61,6 +68,147 @@ def predict_logreg(model: LinearModel, x: FeatureVector) -> float:
     return float(1.0 / (1.0 + np.exp(-score)))
 
 
+@dataclass
+class TreeNode:
+    """A leaf carries the positive fraction; an internal node carries a split."""
+
+    fraction: float | None = None
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.fraction is not None
+
+
+def _grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    depth: int,
+    max_depth: int | None,
+    n_features_per_split: int,
+    rng: np.random.Generator,
+) -> TreeNode:
+    n = len(y)
+    pos = int(y.sum())
+    if pos == 0 or pos == n or n < 2 or (max_depth is not None and depth >= max_depth):
+        return TreeNode(fraction=pos / n)
+    order = rng.permutation(X.shape[1])
+    k = min(n_features_per_split, X.shape[1])
+    best = _best_split(X, y, np.sort(order[:k]))
+    while best is None and k < X.shape[1]:
+        # the drawn subset admits no valid split; widen the search
+        best = _best_split(X, y, order[k : k + 1])
+        k += 1
+    if best is None:
+        return TreeNode(fraction=pos / n)
+    _, feature, threshold = best
+    mask = X[:, feature] <= threshold
+    return TreeNode(
+        feature=feature,
+        threshold=threshold,
+        left=_grow_tree(X[mask], y[mask], depth + 1, max_depth, n_features_per_split, rng),
+        right=_grow_tree(X[~mask], y[~mask], depth + 1, max_depth, n_features_per_split, rng),
+    )
+
+
+def grow_forest(
+    X: sparse.csr_matrix,
+    y: list[int],
+    n_trees: int = 100,
+    max_depth: int | None = None,
+    n_features_per_split: int | None = None,
+    seed: int = 0,
+    bootstrap: bool = True,
+) -> list[TreeNode]:
+    """The trees train_rf grows from the same arguments, as TreeNode trees."""
+    if n_features_per_split is None:
+        n_features_per_split = int(np.ceil(np.sqrt(max(X.shape[1], 1))))
+    dense = X.toarray()
+    y_arr = np.asarray(y, dtype=int)
+
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        if bootstrap:
+            sample = rng.integers(0, len(y_arr), size=len(y_arr))
+        else:
+            sample = np.arange(len(y_arr))
+        trees.append(
+            _grow_tree(dense[sample], y_arr[sample], 0, max_depth, n_features_per_split, rng)
+        )
+    return trees
+
+
+def _route(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """Write node's leaf fraction into out at each row of X that reaches it."""
+    if node.is_leaf:
+        out[rows] = node.fraction
+        return
+    left = X[rows, node.feature] <= node.threshold
+    _route(node.left, X, rows[left], out)
+    _route(node.right, X, rows[~left], out)
+
+
+def route_forest(trees: list[TreeNode], X: np.ndarray) -> np.ndarray:
+    """Mean leaf fraction of each row of dense X, routed tree by tree with one mask per split."""
+    rows = np.arange(X.shape[0])
+    leaves = np.empty((X.shape[0], len(trees)))
+    for t, tree in enumerate(trees):
+        _route(tree, X, rows, leaves[:, t])
+    return leaves.mean(axis=1)
+
+
+def _tree_to_json(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"fraction": node.fraction}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _tree_to_json(node.left),
+        "right": _tree_to_json(node.right),
+    }
+
+
+def _tree_from_json(data: dict, n_features: int) -> TreeNode:
+    if "fraction" in data:
+        return TreeNode(fraction=float(data["fraction"]))
+    feature = int(data["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"a tree splits on feature {feature} of a {n_features}-feature space")
+    return TreeNode(
+        feature=feature,
+        threshold=float(data["threshold"]),
+        left=_tree_from_json(data["left"], n_features),
+        right=_tree_from_json(data["right"], n_features),
+    )
+
+
+def flatten(trees: list[TreeNode]) -> dict[str, list]:
+    """The trees as baselines.Forest's node arrays: tree after tree, each in
+    preorder, 0 for a split's fraction and a leaf's threshold."""
+    arrays = {key: [] for key in ("feature", "threshold", "left", "right", "fraction", "roots")}
+
+    def visit(node: TreeNode):
+        index = len(arrays["feature"])
+        if node.is_leaf:
+            for key, value in zip(arrays, (-1, 0.0, -1, -1, node.fraction)):
+                arrays[key].append(value)
+            return
+        for key, value in zip(arrays, (node.feature, node.threshold, index + 1, -1, 0.0)):
+            arrays[key].append(value)
+        visit(node.left)
+        arrays["right"][index] = len(arrays["feature"])
+        visit(node.right)
+
+    for tree in trees:
+        arrays["roots"].append(len(arrays["feature"]))
+        visit(tree)
+    return arrays
+
+
 def predict_tree(node: TreeNode, x: FeatureVector) -> float:
     while not node.is_leaf:
         value = x.get(node.feature, 0.0)
@@ -68,8 +216,8 @@ def predict_tree(node: TreeNode, x: FeatureVector) -> float:
     return node.fraction
 
 
-def predict_rf(forest: Forest, x: FeatureVector) -> float:
+def predict_rf(trees: list[TreeNode], x: FeatureVector) -> float:
     """Mean of per-tree leaf positive-fractions; always in [0, 1]."""
-    if not forest.trees:
+    if not trees:
         raise ValueError("cannot predict with an empty forest")
-    return float(np.mean([predict_tree(tree, x) for tree in forest.trees]))
+    return float(np.mean([predict_tree(tree, x) for tree in trees]))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 
 import baselines_oracle as oracle
 from notepheno.baselines import (
+    FOREST_ARRAYS,
     Forest,
     LinearModel,
-    TreeNode,
     load_baseline_checkpoint,
     logreg_objective_and_grads,
+    pipeline_record,
     predict_proba,
     save_baseline_checkpoint,
     train_logreg,
@@ -34,6 +37,24 @@ def lr_probs(model, X):
 
 def rf_probs(forest, X, d):
     return predict_proba("random_forest", forest, vectors_to_csr(X, d))
+
+
+def leaf_forest(fractions, roots):
+    """A forest of single-leaf trees: the leaves hold fractions, roots pick them."""
+    n = len(fractions)
+    return Forest(feature=np.full(n, -1), threshold=np.zeros(n), left=np.full(n, -1),
+                  right=np.full(n, -1), fraction=np.array(fractions, dtype=float),
+                  roots=np.array(roots, dtype=int), n_features_per_split=1, seed=0)
+
+
+def forest_arrays(forest):
+    return {key: getattr(forest, key).tolist() for key in FOREST_ARRAYS}
+
+
+def chain_dataset():
+    """1,500 distinct values of one feature with alternating labels: every
+    split peels one row off the end, so a full tree is a chain 1,499 deep."""
+    return vectors_to_csr([{0: float(i)} for i in range(1500)], 1), [i % 2 for i in range(1500)]
 
 
 class TestLogreg:
@@ -117,8 +138,7 @@ class TestRandomForest:
     def test_pure_labels_give_single_leaf_trees(self):
         X = vectors_to_csr([{0: 1.0}, {0: 2.0}, {0: 3.0}], 1)
         forest = train_rf(X, [1, 1, 1], n_trees=5, seed=0)
-        for tree in forest.trees:
-            assert tree.is_leaf and tree.fraction == 1.0
+        assert forest_arrays(forest) == forest_arrays(leaf_forest([1.0] * 5, range(5)))
 
     def test_xor_learned_without_bootstrap(self):
         X, y = xor_dataset()
@@ -132,34 +152,19 @@ class TestRandomForest:
         X, y = random_dataset(1, n=40, d=4)
         f1 = train_rf(X, y, n_trees=8, seed=5)
         f2 = train_rf(X, y, n_trees=8, seed=5)
-
-        def dump(node):
-            if node.is_leaf:
-                return ("leaf", node.fraction)
-            return ("split", node.feature, node.threshold, dump(node.left), dump(node.right))
-
-        assert [dump(t) for t in f1.trees] == [dump(t) for t in f2.trees]
+        assert forest_arrays(f1) == forest_arrays(f2)
 
     def test_prediction_invariant_to_tree_order(self):
         X, y = random_dataset(2, n=30, d=3)
         forest = train_rf(X, y, n_trees=7, seed=3)
-        reordered = Forest(
-            trees=list(reversed(forest.trees)),
-            n_features_per_split=forest.n_features_per_split,
-            seed=forest.seed,
-        )
+        reordered = Forest(**{**vars(forest), "roots": forest.roots[::-1]})
         np.testing.assert_allclose(
             predict_proba("random_forest", forest, X), predict_proba("random_forest", reordered, X)
         )
 
     def test_duplicated_tree_pulls_prediction_toward_it(self):
-        leaf_low = TreeNode(fraction=0.0)
-        leaf_high = TreeNode(fraction=1.0)
-        forest = Forest(trees=[leaf_low, leaf_high], n_features_per_split=1, seed=0)
-        base = rf_probs(forest, [{}], 1)[0]
-        pulled = rf_probs(
-            Forest(trees=[leaf_low, leaf_high, leaf_high], n_features_per_split=1, seed=0), [{}], 1
-        )[0]
+        base = rf_probs(leaf_forest([0.0, 1.0], [0, 1]), [{}], 1)[0]
+        pulled = rf_probs(leaf_forest([0.0, 1.0], [0, 1, 1]), [{}], 1)[0]
         assert base == pytest.approx(0.5)
         assert pulled > base
 
@@ -172,12 +177,11 @@ class TestRandomForest:
         assert preds.astype(int).tolist() == y
 
     def test_single_leaf_forest_returns_fraction(self):
-        forest = Forest(trees=[TreeNode(fraction=0.8)], n_features_per_split=1, seed=0)
-        assert rf_probs(forest, [{0: 5.0}], 1)[0] == pytest.approx(0.8)
+        assert rf_probs(leaf_forest([0.8], [0]), [{0: 5.0}], 1)[0] == pytest.approx(0.8)
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError):
-            rf_probs(Forest(trees=[], n_features_per_split=1, seed=0), [{}], 1)
+            rf_probs(leaf_forest([], []), [{}], 1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -212,8 +216,34 @@ class TestCheckpoints:
         save_baseline_checkpoint("random_forest", forest, space, pipeline, path)
         kind, loaded, _, _ = load_baseline_checkpoint(path)
         assert kind == "random_forest"
+        assert forest_arrays(loaded) == forest_arrays(forest)
         assert (predict_proba("random_forest", loaded, X).tolist()
                 == predict_proba("random_forest", forest, X).tolist())
+
+    def test_a_tree_deeper_than_the_recursion_limit_trains_roundtrips_and_predicts(self, tmp_path):
+        X, y = chain_dataset()
+        forest = train_rf(X, y, n_trees=1, bootstrap=False)
+        assert len(forest.feature) == 2 * len(y) - 1  # a split per row but the last
+        space = fit_feature_space([{("cui", False): 1}])
+        path = tmp_path / "rf.json"
+        save_baseline_checkpoint("random_forest", forest, space, pipeline_record("ctakes-rf", "p"), path)
+        loaded = load_baseline_checkpoint(path)[1]
+        assert forest_arrays(loaded) == forest_arrays(forest)
+        assert (predict_proba("random_forest", loaded, X) >= 0.5).astype(int).tolist() == y
+
+    def test_v1_nested_trees_checkpoint_names_both_versions(self, tmp_path):
+        X, y = random_dataset(6, n=40, d=3)
+        space = fit_feature_space([{("cui", True): 1, ("cui", False): 2, ("cui2", False): 1}])
+        path = tmp_path / "rf.json"
+        save_baseline_checkpoint("random_forest", train_rf(X, y, n_trees=2, seed=2), space,
+                                 pipeline_record("ctakes-rf", "p"), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        doc["model"] = {"trees": [oracle._tree_to_json(t) for t in oracle.grow_forest(X, y, 2, seed=2)],
+                        "n_features_per_split": 2, "seed": 2, "max_depth": None, "bootstrap": True}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="format version 1, expected 2"):
+            load_baseline_checkpoint(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
@@ -238,10 +268,37 @@ class TestPredictAgainstOracle:
     def test_forest_equals_the_oracle_exactly(self, seed, d, n_trees):
         train = random_rows(seed, 30, d)
         y = [int(sum(x.values()) > 1.0) for x in train]
-        forest = train_rf(vectors_to_csr(train, d), y, n_trees=n_trees, max_depth=6, seed=seed)
+        args = (vectors_to_csr(train, d), y, n_trees, 6)
+        forest = train_rf(*args, seed=seed)
+        trees = oracle.grow_forest(*args, seed=seed)
         rows = random_rows(seed + 1, 25, d) + train[:5]
         got = rf_probs(forest, rows, d)
-        assert got.tolist() == [oracle.predict_rf(forest, x) for x in rows]
+        assert got.tolist() == [oracle.predict_rf(trees, x) for x in rows]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 60), st.integers(0, 8), st.booleans(),
+           st.sampled_from([None, 1, 3]), st.integers(0, 10_000))
+    def test_forest_arrays_are_the_recursive_forest_in_preorder(
+        self, data, n, d, bootstrap, max_depth, seed
+    ):
+        """On small matrices full of ties, train_rf's node arrays are the
+        oracle's recursive trees (read back from their v1 JSON) flattened in
+        preorder, and its probabilities are the oracle's, bit for bit."""
+        values = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+        X = vectors_to_csr([{j: data.draw(values) for j in range(d)} for _ in range(n)], d)
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        n_features_per_split = data.draw(st.sampled_from([None, *range(1, d + 1)]))
+        kwargs = dict(n_trees=data.draw(st.integers(1, 4)), max_depth=max_depth,
+                      n_features_per_split=n_features_per_split, seed=seed, bootstrap=bootstrap)
+        forest = train_rf(X, y, **kwargs)
+        trees = [oracle._tree_from_json(oracle._tree_to_json(t), d)
+                 for t in oracle.grow_forest(X, y, **kwargs)]
+        assert forest_arrays(forest) == oracle.flatten(trees)
+        queries = [{j: data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
+                    for j in range(d)} for _ in range(8)]
+        got = rf_probs(forest, queries, d).tolist()
+        assert got == oracle.route_forest(trees, vectors_to_csr(queries, d).toarray()).tolist()
+        assert got == [oracle.predict_rf(trees, x) for x in queries]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 12))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import baselines_oracle as oracle
 from notepheno import baselines, cnn
 from notepheno.cli import main
 from notepheno.corpus import Note, load_notes_jsonl, save_notes_jsonl
@@ -356,15 +357,17 @@ def test_explain_top_k_below_one_is_config_error(workspace, tmp_path, capsys, to
      {"pretrain": {"learning_rate": 0}}, {"cnn": {"max_norm": float("nan")}},
      {"cnn": {"adadelta_eps": float("nan")}}, {"cnn": {"max_norm": float("inf")}},
      {"split": {"train_fraction": float("nan")}},
-     {"baselines": {"logreg_l2_lambda": float("inf")}}],
+     {"baselines": {"logreg_l2_lambda": float("inf")}}, "[" * 200_000],
     ids=["section-string", "section-list", "field-type",
          "split-seed", "pretrain-seed", "cnn-seed", "cnn-n-heads",
          "pretrain-lr-nan", "pretrain-lr-zero", "cnn-max-norm-nan", "cnn-eps-nan",
-         "cnn-max-norm-inf", "split-fraction-nan", "baselines-lambda-inf"],
+         "cnn-max-norm-inf", "split-fraction-nan", "baselines-lambda-inf", "deeply-nested"],
 )
 def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override):
+    """override: fields replacing the workspace config's, or the whole file's text."""
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({**workspace["config"], **override}))
+    text = override if isinstance(override, str) else json.dumps({**workspace["config"], **override})
+    cfg_path.write_text(text)
     assert main(["run-experiment", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
@@ -400,18 +403,33 @@ def _tampered(workspace, tmp_path, name, edit) -> str:
     return _written(tmp_path, "tampered.json", json.dumps(doc))
 
 
-def _as_forest_with_trees(trees):
+def _as_forest(**arrays):
+    """Turn a concept logistic-regression checkpoint into a forest one whose
+    node arrays are a split on feature 0 into two leaves, except for arrays."""
     def edit(doc):
         doc["kind"] = "random_forest"
         doc["pipeline"]["model"] = "ctakes-rf"
-        doc["model"] = {"trees": trees, "n_features_per_split": 1, "seed": 0,
-                        "max_depth": None, "bootstrap": True}
+        doc["model"] = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+                        "right": [2, -1, -1], "fraction": [0.0, 0.0, 1.0], "roots": [0],
+                        "n_features_per_split": 1, "seed": 0, "max_depth": None, "bootstrap": True,
+                        **arrays}
     return edit
+
+
+def _as_v1_forest(doc):
+    """The nested-trees forest checkpoint of format version 1."""
+    _as_forest()(doc)
+    tree = oracle.TreeNode(feature=0, threshold=0.5, left=oracle.TreeNode(fraction=0.0),
+                           right=oracle.TreeNode(fraction=1.0))
+    doc["format_version"] = 1
+    doc["model"] = {"trees": [oracle._tree_to_json(tree)], "n_features_per_split": 1, "seed": 0,
+                    "max_depth": None, "bootstrap": True}
 
 
 _BAD_RECORDS = {"list-record": "[1, 2]", "int-text": '{"note_id": "a", "text": 5, "labels": {"pheno0": 1}}',
                 "list-labels": '{"note_id": "a", "text": "x", "labels": [1]}'}
 _ONE_COLUMN = "c1\n"
+_DEEP = "[" * 200_000
 _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
 
 
@@ -460,17 +478,23 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc.update(pipeline="2gram-lr"))), 4,
             id="pipeline-string"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees(5))), 4,
-            id="forest-trees-int"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees([])), "--dictionary",
-            str(ws["paths"]["dictionary"])), 4,
-            id="forest-without-trees"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees([{"fraction": "x"}])),
-            "--dictionary", str(ws["paths"]["dictionary"])), 4,
-            id="forest-leaf-string"),
+        *[pytest.param(lambda ws, tmp, edit=edit: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", edit),
+            "--dictionary", str(ws["paths"]["dictionary"])), 4, id=f"forest-{name}")
+          for name, edit in {
+              "trees-int": _as_forest(feature=5, threshold=5, left=5, right=5, fraction=5, roots=5),
+              "without-trees": _as_forest(feature=[], threshold=[], left=[], right=[],
+                                          fraction=[], roots=[]),
+              "leaf-string": _as_forest(fraction=[0.0, "x", 1.0]),
+              "feature-out-of-range": _as_forest(feature=[-1, -1, -1]),
+              "child-before-parent": _as_forest(feature=[-1, 0, -1], left=[-1, 0, -1],
+                                                right=[-1, 2, -1], roots=[1]),
+              "child-out-of-range": _as_forest(right=[3, -1, -1]),
+              "ragged-arrays": _as_forest(threshold=[0.5, 0.0]),
+              "non-integer-index": _as_forest(left=[1.5, -1, -1]),
+              "root-out-of-range": _as_forest(roots=[3]),
+              "v1-nested-trees": _as_v1_forest,
+          }.items()],
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "2gram-lr__pheno0.json",
             lambda doc: doc["model"].update(weights=[doc["model"]["weights"]]))), 4,
@@ -479,12 +503,6 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
             ws, tmp, "2gram-lr__pheno0.json",
             lambda doc: doc["model"].update(weights=doc["model"]["weights"][1:]))), 4,
             id="logreg-weight-missing"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", _as_forest_with_trees(
-                [{"feature": -1, "threshold": 0.5, "left": {"fraction": 0.0},
-                  "right": {"fraction": 1.0}}])),
-            "--dictionary", str(ws["paths"]["dictionary"])), 4,
-            id="forest-feature-out-of-range"),
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"].update(idf=[])),
             "--dictionary", str(ws["paths"]["dictionary"])), 4,
@@ -506,6 +524,22 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
                                        "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
                                        "--vocab", _written(tmp, "v.json", "[]"), "--out", str(tmp / "r")], 4,
                      id="explain-vocab-list"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", _DEEP)), 4,
+                     id="checkpoint-deeply-nested"),
+        pytest.param(lambda ws, tmp: ["explain", "--checkpoint",
+                                       str(_ckpt(ws, "cnn__pheno0.json")),
+                                       "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
+                                       "--vocab", _written(tmp, "v.json", _DEEP), "--out", str(tmp / "r")], 4,
+                     id="explain-vocab-deeply-nested"),
+        pytest.param(lambda ws, tmp: ["split", "--corpus", _written(tmp, "n.jsonl", _DEEP + "\n"),
+                                      "--out", str(tmp / "split")], 3,
+                     id="split-corpus-deeply-nested"),
+        pytest.param(lambda ws, tmp: ["evaluate", "--corpus", _written(tmp, "empty.jsonl", ""),
+                                      "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json"))], 3,
+                     id="evaluate-empty-corpus"),
+        pytest.param(lambda ws, tmp: ["split", "--corpus", _written(tmp, "empty.jsonl", ""),
+                                      "--out", str(tmp / "split")], 3,
+                     id="split-empty-corpus"),
         pytest.param(lambda ws, tmp: ["run-experiment", "--config", str(tmp)], 2, id="config-directory"),
         pytest.param(lambda ws, tmp: ["run-experiment", "--config", _written(tmp, "c.json", b"\xff\xfe")], 2,
                      id="config-not-utf8"),
@@ -519,33 +553,39 @@ def test_malformed_input_exits_cleanly(workspace, tmp_path, capsys, argv, code):
 
 
 def test_evaluate_reproduces_the_run_experiment_rows(tmp_path):
-    """Every baseline checkpoint, evaluated on exactly the test-split notes,
-    prints the row run-experiment wrote for it: both score through one path."""
+    """Every checkpoint, evaluated on exactly the test-split notes, prints the
+    row run-experiment wrote for it: both score through one path. The first
+    run trains every baseline and a CNN per phenotype, the second one
+    --multilabel CNN for both phenotypes."""
     spec = SyntheticSpec(n_notes=120, vocab_size=60, n_phenotypes=2,
                          phrases_per_phenotype=2, noise_rate=0.1, seed=5)
     paths = generate_synthetic_corpus(spec, tmp_path / "corpus")
-    out = tmp_path / "out"
-    config = {"labeled_path": str(paths["labeled"]), "dictionary_path": str(paths["dictionary"]),
-              "output_dir": str(out), "phenotypes": ["pheno0", "pheno1"],
-              "models": list(baselines.MODELS), "seed": 4, "baselines": {"rf_n_trees": 5}}
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["run-experiment", "--config", str(cfg_path)]) == 0
-
     by_id = {note.note_id: note for note in load_notes_jsonl(paths["labeled"])}
-    test_corpus = tmp_path / "test.jsonl"
-    save_notes_jsonl([by_id[i] for i in (out / "split" / "test.ids").read_text().split()],
-                     test_corpus)
-    lines = (out / "reports" / "metrics.csv").read_text().splitlines()
-    rows = [line for line in lines if not line.startswith("#")][1:]
-    assert len(rows) == 2 * len(baselines.MODELS)
-    for row in rows:
-        phenotype, name = row.split(",")[:2]
-        report = tmp_path / f"{name}__{phenotype}.csv"
-        assert main(["evaluate", "--checkpoint", str(out / "checkpoints" / f"{name}__{phenotype}.json"),
-                     "--corpus", str(test_corpus), "--dictionary", str(paths["dictionary"]),
-                     "--out", str(report)]) == 0
-        assert report.read_text().splitlines()[1] == row
+    for models, flags in ([*baselines.MODELS, "cnn"], []), (["cnn"], ["--multilabel"]):
+        out = tmp_path / f"out{len(flags)}"
+        config = {"labeled_path": str(paths["labeled"]), "unlabeled_path": str(paths["unlabeled"]),
+                  "dictionary_path": str(paths["dictionary"]), "output_dir": str(out),
+                  "phenotypes": ["pheno0", "pheno1"], "models": models, "seed": 4,
+                  "baselines": {"rf_n_trees": 5}, "pretrain": {"dim": 8, "epochs": 1, "window": 2},
+                  "cnn": {"filter_widths": [2, 3], "filters_per_width": 8, "epochs": 30, "batch_size": 4}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run-experiment", "--config", str(cfg_path), *flags]) == 0
+
+        test_corpus = tmp_path / "test.jsonl"
+        save_notes_jsonl([by_id[i] for i in (out / "split" / "test.ids").read_text().split()],
+                         test_corpus)
+        lines = (out / "reports" / "metrics.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 2 * len(models)
+        for row in rows:
+            phenotype, name = row.split(",")[:2]
+            tag = "multilabel" if flags else phenotype
+            report = tmp_path / f"{name}__{phenotype}.csv"
+            assert main(["evaluate", "--checkpoint", str(out / "checkpoints" / f"{name}__{tag}.json"),
+                         "--corpus", str(test_corpus), "--dictionary", str(paths["dictionary"]),
+                         "--phenotype", phenotype, "--out", str(report)]) == 0
+            assert report.read_text().splitlines()[1] == row
 
 
 def test_phenotype_without_dictionary_entries(tmp_path):
