@@ -104,10 +104,12 @@ def logreg_objective_and_grads(
     X: sparse.csr_matrix,
     y: np.ndarray,
     l2_lambda: float,
+    X_T: sparse.csr_matrix | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Mean binary cross-entropy plus (lambda/2)||w||^2, and its gradients.
 
-    The bias is not regularized.
+    The bias is not regularized. X_T, X.T in CSR form, lets a caller that
+    evaluates many iterates transpose X once; the gradient is the same.
     """
     n = X.shape[0]
     logits = X @ weights + bias
@@ -116,7 +118,7 @@ def logreg_objective_and_grads(
     nll = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
     objective = nll + 0.5 * l2_lambda * float(weights @ weights)
     residual = p - y
-    grad_w = X.T @ residual / n + l2_lambda * weights
+    grad_w = (X.T if X_T is None else X_T) @ residual / n + l2_lambda * weights
     grad_b = float(np.mean(residual))
     return float(objective), np.asarray(grad_w).ravel(), grad_b
 
@@ -140,6 +142,7 @@ def train_logreg(
     if not X.shape[0] or X.shape[0] != len(y):
         raise ValueError("X and y must be non-empty and the same length")
     y_arr = np.asarray(y, dtype=float)
+    X_T = X.T.tocsr()
 
     weights = np.zeros(X.shape[1])
     bias = np.zeros(1)
@@ -149,7 +152,7 @@ def train_logreg(
     converged = False
     for _ in range(max_iters + 1):
         objective, grad_w, grad_b = logreg_objective_and_grads(
-            weights, float(bias[0]), X, y_arr, l2_lambda
+            weights, float(bias[0]), X, y_arr, l2_lambda, X_T
         )
         if objective_history is not None:
             objective_history.append(objective)

@@ -6,8 +6,10 @@ adadelta over all parameters, fine-tunes the embedding table, and re-applies
 an L2 max-norm constraint to the embedding rows after every step.
 
 One engine serves training, prediction, validation and saliency: it runs a
-group of notes padded to a common length, with one GEMM per filter width,
-and groups are capped in size so the working set stays bounded.
+group of notes padded to a common length, with one filter-major GEMM per
+filter width, max-pools the pre-activations and only then adds the bias and
+applies the activation. Notes run in a stable order of length, so a group
+pads little, and groups are capped in size so the working set stays bounded.
 """
 
 from __future__ import annotations
@@ -105,15 +107,16 @@ class BatchActivations:
     """Forward-pass caches of one group of notes padded to a common length.
 
     Row b holds note b padded with PAD up to the widest filter (its own
-    length, lengths[b]) and then with PAD up to the group length. Grid
-    entries at positions past a note's last window are -inf, so the batch
-    padding never wins a max-pool.
+    length, lengths[b]) and then with PAD up to the group length. The grids
+    hold the convolution before bias and activation (see activate()), as
+    views of filter-major arrays; entries at positions past a note's last
+    window are -inf, so the batch padding never wins a max-pool.
     """
 
     ids: np.ndarray  # (notes, positions) token ids
     lengths: np.ndarray  # (notes,) padded length of each note
     embedded: np.ndarray  # (notes, positions, dim)
-    grids: dict[int, np.ndarray]  # width -> (notes, windows, filters) post-activation
+    grids: dict[int, np.ndarray]  # width -> (notes, windows, filters) pre-bias
     argmax: dict[int, np.ndarray]  # width -> (notes, filters) winning positions
     pooled: np.ndarray  # (notes, total filters) pre-dropout
     dropout_mask: np.ndarray | None  # (notes, total filters) keep mask, train mode only
@@ -200,20 +203,31 @@ def _flat_windows(embedded: np.ndarray, width: int) -> np.ndarray:
     return stacked.transpose(0, 1, 3, 2).reshape(n_notes * (n_positions - width + 1), width * dim)
 
 
+def activate(model: CnnModel, grid: np.ndarray, w: int) -> np.ndarray:
+    """Post-activation values of a width-w pre-bias grid (filters on the last
+    axis); -inf entries, the batch padding, stay -inf."""
+    a = grid + model.conv_biases[w]
+    a = np.tanh(a, out=a) if model.config.activation == "tanh" else np.maximum(a, 0.0, out=a)
+    a[np.isneginf(grid)] = -np.inf
+    return a
+
+
 def forward_batch(
     model: CnnModel,
     id_lists: list[list[int]],
-    train_mode: bool = False,
-    dropout_rng: np.random.Generator | None = None,
+    dropout_draws: np.ndarray | None = None,
 ) -> BatchActivations:
     """Run the network on one group of id sequences, one GEMM per filter width.
 
     Each note is padded with PAD to the largest filter width, so every bank
-    sees at least one window, and ties in max pooling resolve to the first
-    position: a note's outputs are those it gets on its own. In train mode,
-    inverted dropout (scaled by 1/(1-p)) is applied to the pooled vectors with
-    one draw of notes * filters uniforms from the supplied generator, the same
-    stream as one draw per note. The caller bounds the group (see groups()).
+    sees at least one window: a note's outputs are those it gets on its own.
+    Each width's (filters, notes, windows) pre-activations are max-pooled
+    before the bias and activation, which are monotone, are applied to the
+    pooled values alone. Ties resolve to the first window; where two
+    different pre-activations round to the same activated value, the larger
+    one wins. Given dropout_draws, (notes, total filters) uniforms in [0, 1),
+    inverted dropout (scaled by 1/(1-p)) drops the pooled values whose draw
+    is below p. The caller bounds the group (see groups()).
     """
     if not id_lists or any(len(ids) == 0 for ids in id_lists):
         raise ValueError("cannot run the model on an empty token sequence")
@@ -231,25 +245,22 @@ def forward_batch(
     pooled_parts = []
     for w in cfg.filter_widths:
         p = n_positions - w + 1
-        z = _flat_windows(embedded, w) @ model.conv_weights[w].reshape(nf, -1).T
-        z += model.conv_biases[w]
-        a = np.tanh(z, out=z) if cfg.activation == "tanh" else np.maximum(z, 0.0, out=z)
-        a = a.reshape(n_notes, p, nf)
-        a[np.arange(p)[None, :] > (lengths - w)[:, None]] = -np.inf
-        grids[w] = a
-        argmax[w] = np.argmax(a, axis=1)
-        pooled_parts.append(np.take_along_axis(a, argmax[w][:, None, :], axis=1)[:, 0, :])
+        z = model.conv_weights[w].reshape(nf, -1) @ _flat_windows(embedded, w).T
+        z = z.reshape(nf, n_notes, p)
+        z[:, np.arange(p)[None, :] > (lengths - w)[:, None]] = -np.inf
+        best = np.argmax(z, axis=2)  # (filters, notes)
+        grids[w] = z.transpose(1, 2, 0)
+        argmax[w] = best.T
+        maxima = np.take_along_axis(z, best[:, :, None], axis=2)[:, :, 0]
+        pooled_parts.append(activate(model, maxima.T, w))
     pooled = np.concatenate(pooled_parts, axis=1)
 
-    if train_mode and cfg.dropout_p > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward with dropout needs a dropout_rng")
-        draws = dropout_rng.random(pooled.size).reshape(pooled.shape)
-        mask = (draws >= cfg.dropout_p).astype(float)
-        dropped = pooled * mask / (1.0 - cfg.dropout_p)
-    else:
+    if dropout_draws is None:
         mask = None
         dropped = pooled
+    else:
+        mask = (dropout_draws >= cfg.dropout_p).astype(float)
+        dropped = pooled * mask / (1.0 - cfg.dropout_p)
 
     logits = dropped @ model.output_weights.T + model.output_bias
     return BatchActivations(
@@ -268,10 +279,14 @@ def forward_batch(
 def forward_groups(model: CnnModel, id_lists: list[list[int]]):
     """Eval-mode forward passes over id_lists, one bounded group at a time.
 
-    Yields (start index, BatchActivations); only one group is alive at once.
+    Notes run in a stable order of length, so a group pads little. Yields
+    (rows, BatchActivations), rows holding the input indices of the group's
+    notes; only one group is alive at once.
     """
-    for start, stop in groups(model, id_lists):
-        yield start, forward_batch(model, id_lists[start:stop])
+    order = np.argsort([len(ids) for ids in id_lists], kind="stable")
+    by_length = [id_lists[i] for i in order]
+    for lo, hi in groups(model, by_length):
+        yield order[lo:hi], forward_batch(model, by_length[lo:hi])
 
 
 def forward(
@@ -280,12 +295,21 @@ def forward(
     train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> Activations:
-    """Run the network on one id sequence (a batch of one; see forward_batch)."""
-    batch = forward_batch(model, [token_ids], train_mode, dropout_rng)
+    """Run the network on one id sequence (a batch of one; see forward_batch).
+
+    In train mode with dropout, the mask comes from one draw of total-filters
+    uniforms from dropout_rng.
+    """
+    draws = None
+    if train_mode and model.config.dropout_p > 0.0:
+        if dropout_rng is None:
+            raise ValueError("train-mode forward with dropout needs a dropout_rng")
+        draws = dropout_rng.random(model.total_filters)[None, :]
+    batch = forward_batch(model, [token_ids], draws)
     return Activations(
         padded_ids=batch.ids[0].tolist(),
         embedded=batch.embedded[0],
-        grids={w: g[0] for w, g in batch.grids.items()},
+        grids={w: activate(model, g[0], w) for w, g in batch.grids.items()},
         argmax={w: a[0] for w, a in batch.argmax.items()},
         pooled=batch.pooled[0],
         dropout_mask=None if batch.dropout_mask is None else batch.dropout_mask[0],
@@ -386,7 +410,7 @@ def backward(
         ids=np.asarray(acts.padded_ids, dtype=np.intp)[None, :],
         lengths=np.array([len(acts.padded_ids)]),
         embedded=acts.embedded[None],
-        grids={w: acts.grids[w][None] for w in widths},
+        grids={},  # backward_batch reads no grid
         argmax={w: acts.argmax[w][None] for w in widths},
         pooled=acts.pooled[None],
         dropout_mask=None if acts.dropout_mask is None else acts.dropout_mask[None],
@@ -422,11 +446,13 @@ def train(
 
     train_data and val_data hold (token id sequence, per-head 0/1 label
     vector) pairs. Batches reshuffle every epoch under the config seed; each
-    batch runs through the engine in bounded groups whose gradients add into
-    one step gradient. After every optimizer step the embedding max-norm
-    constraint is re-applied and step_callback(model, epoch, step) fires if
-    given. History records the mean train loss and per-head validation F1 of
-    each epoch. The final-epoch model is returned (no early stopping).
+    batch runs through the engine in a stable order of note length, in
+    bounded groups whose gradients add into one step gradient. A batch's
+    dropout uniforms are drawn at once and its per-note losses kept, both in
+    note order. After every optimizer step the embedding max-norm constraint
+    is re-applied and step_callback(model, epoch, step) fires if given.
+    History records the mean train loss and per-head validation F1 of each
+    epoch. The final-epoch model is returned (no early stopping).
     """
     cfg = model.config
     cfg.validate()
@@ -446,15 +472,20 @@ def train(
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            id_lists = [train_data[i][0] for i in batch]
+            by_length = np.argsort([len(train_data[i][0]) for i in batch], kind="stable")
+            id_lists = [train_data[batch[j]][0] for j in by_length]
             labels = np.array([train_data[i][1] for i in batch], dtype=float)
+            draws = None
+            if cfg.dropout_p > 0.0:
+                draws = dropout_rng.random(len(batch) * model.total_filters).reshape(len(batch), -1)
+            note_losses = np.empty(len(batch))
             grads = {name: np.zeros_like(p) for name, p in params.items()}
             for lo, hi in groups(model, id_lists):
-                acts = forward_batch(
-                    model, id_lists[lo:hi], train_mode=True, dropout_rng=dropout_rng
-                )
-                epoch_losses.extend(_note_losses(acts.probs, labels[lo:hi]))
-                backward_batch(model, acts, labels[lo:hi], grads)
+                rows = by_length[lo:hi]
+                acts = forward_batch(model, id_lists[lo:hi], None if draws is None else draws[rows])
+                note_losses[rows] = _note_losses(acts.probs, labels[rows])
+                backward_batch(model, acts, labels[rows], grads)
+            epoch_losses.extend(note_losses)
             for g in grads.values():
                 g /= len(batch)
             adadelta_step(params, grads, state, cfg.adadelta_rho, cfg.adadelta_eps)
@@ -497,9 +528,10 @@ def predict_batch(
 
     A note's outputs do not depend on which notes share its group.
     """
-    probs = [np.empty((0, model.config.n_heads))]
-    probs += [acts.probs for _, acts in forward_groups(model, id_lists)]
-    return classify(model, np.concatenate(probs), threshold)
+    probs = np.empty((len(id_lists), model.config.n_heads))
+    for rows, acts in forward_groups(model, id_lists):
+        probs[rows] = acts.probs
+    return classify(model, probs, threshold)
 
 
 def predict(

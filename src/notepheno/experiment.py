@@ -102,6 +102,12 @@ class BaselineConfig:
 
     def validate(self):
         require_finite(self)
+        if self.rf_n_trees < 1:
+            raise ValueError(f"rf_n_trees must be >= 1, got {self.rf_n_trees}")
+        for name in ("rf_max_depth", "rf_n_features_per_split"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be null or >= 1, got {value}")
 
 
 @dataclass
@@ -305,12 +311,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             config, vocab, tokens_by_id, unlabeled, train_notes, val_notes, test_notes,
             out_dir, derived_seeds, result, say,
         )
+    concept_counts: dict[tuple[bool, str], list[dict]] = {}
     for name in config.models:
         if name in baselines.MODELS:
             for phenotype in config.phenotypes:
                 _run_baseline(
                     config, name, phenotype, dictionary, tokens_by_id, train_notes,
-                    test_notes, out_dir, derived_seeds, result, say,
+                    test_notes, out_dir, derived_seeds, result, say, concept_counts,
                 )
 
     _write_reports(config, result, split_hash, derived_seeds, out_dir)
@@ -367,13 +374,21 @@ def _run_cnn(
 
 def _run_baseline(
     config, name, phenotype, dictionary, tokens_by_id, train_notes, test_notes,
-    out_dir, derived_seeds, result, say,
+    out_dir, derived_seeds, result, say, concept_counts,
 ):
+    """Train, save and score one baseline. concept_counts maps (filtered,
+    phenotype) to the concept counts of the train and test notes, so the -lr
+    and -rf model of a concept pipeline match the notes once."""
     kind = baselines.MODELS[name][0]
     pipeline = baselines.pipeline_record(name, phenotype)
-    counts = baselines.pipeline_counts(
-        pipeline, [tokens_by_id[note.note_id] for note in train_notes + test_notes], dictionary
-    )
+    token_lists = [tokens_by_id[note.note_id] for note in train_notes + test_notes]
+    if pipeline["features"] == "concepts":
+        key = (pipeline["filtered"], phenotype)
+        if key not in concept_counts:
+            concept_counts[key] = baselines.pipeline_counts(pipeline, token_lists, dictionary)
+        counts = concept_counts[key]
+    else:
+        counts = baselines.pipeline_counts(pipeline, token_lists, dictionary)
     train_counts, test_counts = counts[: len(train_notes)], counts[len(train_notes) :]
     space = featurize.fit_feature_space(train_counts)
     X_train = baselines.pipeline_vectors(pipeline, train_counts, space)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnn import BatchActivations, CnnModel, classify, forward_batch, forward_groups
+from .cnn import BatchActivations, CnnModel, activate, classify, forward_batch, forward_groups
 from .corpus import PAD_TOKEN, Vocabulary
 
 VARIANTS = ("weighted", "norm")
@@ -32,6 +32,7 @@ class PhraseScore:
     position: int
     score: float
     note_id: str = ""
+    doc_index: int = 0  # the document's place in a global report's input; breaks full ties
 
     @property
     def text(self) -> str:
@@ -47,7 +48,7 @@ class SaliencyReport:
 
 
 def _sort_entries(entries: list[PhraseScore]) -> list[PhraseScore]:
-    return sorted(entries, key=lambda e: (-e.score, e.width, e.position, e.note_id))
+    return sorted(entries, key=lambda e: (-e.score, e.width, e.position, e.note_id, e.doc_index))
 
 
 def _dedup_top_k(entries: list[PhraseScore], k: int) -> list[PhraseScore]:
@@ -81,10 +82,10 @@ def _window_values(
     nf = model.config.filters_per_width
     values = {}
     for k, w in enumerate(model.config.filter_widths):
-        grid = acts.grids[w]  # (notes, windows, filters)
+        grid = acts.grids[w]  # (notes, windows, filters) pre-bias
         n_notes, n_windows, _ = grid.shape
         if variant == "norm":
-            values[w] = np.linalg.norm(grid, axis=2)
+            values[w] = np.linalg.norm(activate(model, grid, w), axis=2)
             continue
         contrib = acts.pooled[:, k * nf : (k + 1) * nf] * model.output_weights[head, k * nf : (k + 1) * nf]
         rows = np.arange(n_notes)[:, None] * n_windows + acts.argmax[w]
@@ -99,6 +100,7 @@ def _note_scores(
     row: int,
     tokens: list[str],
     note_id: str,
+    doc_index: int = 0,
 ) -> list[PhraseScore]:
     """PhraseScores of every (width, window) of note `row` of a group."""
     length = int(acts.lengths[row])
@@ -114,6 +116,7 @@ def _note_scores(
                     position=i,
                     score=note_values[i],
                     note_id=note_id,
+                    doc_index=doc_index,
                 )
             )
     return scores
@@ -153,17 +156,19 @@ def global_top_phrases(
     documents holds (note_id, tokens) pairs; empty documents are skipped, and
     only documents the model labels positive for the given head contribute,
     scored from the same forward pass that predicted them. Duplicate phrase
-    strings keep their maximum score.
+    strings keep their maximum score; entries that tie on score, width,
+    position and note id rank in the order of their documents in the input.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     documents = [(note_id, tokens) for note_id, tokens in documents if tokens]
-    # The deduplicated top k of the documents seen so far. A phrase of the
-    # overall top k has fewer than k better distinct phrases among any prefix
-    # of the documents, so it survives every cut, and memory stays bounded.
+    # The deduplicated top k of the documents seen so far (groups arrive in
+    # length order). A phrase of the overall top k has fewer than k better
+    # distinct phrases among any subset of the documents, so it survives
+    # every cut, and memory stays bounded.
     entries: list[PhraseScore] = []
     any_positive = False
-    for start, acts in forward_groups(model, [vocab.resolve(tokens) for _, tokens in documents]):
+    for rows, acts in forward_groups(model, [vocab.resolve(tokens) for _, tokens in documents]):
         _, labels = classify(model, acts.probs)
         positives = np.flatnonzero(labels[:, head] == 1)
         if positives.size == 0:
@@ -172,8 +177,9 @@ def global_top_phrases(
         values = _window_values(model, acts, variant, head)
         pooled = list(entries)
         for row in positives:
-            note_id, tokens = documents[start + row]
-            pooled.extend(_note_scores(acts, values, row, tokens, note_id))
+            doc_index = int(rows[row])
+            note_id, tokens = documents[doc_index]
+            pooled.extend(_note_scores(acts, values, row, tokens, note_id, doc_index))
         entries = _dedup_top_k(pooled, k)
     if not any_positive:
         warnings.warn(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import baselines_oracle as oracle
 from notepheno.baselines import (
@@ -104,6 +105,16 @@ class TestLogreg:
             assert abs(grad_w[i] - fd) / max(abs(grad_w[i]), abs(fd)) < 1e-4
         fd_b = (obj(w, b + h) - obj(w, b - h)) / (2 * h)
         assert abs(grad_b - fd_b) / max(abs(grad_b), abs(fd_b)) < 1e-4
+
+    def test_gradient_with_a_prebuilt_transpose_is_exact(self):
+        rng = np.random.default_rng(4)
+        X = sparse.random(105, 400, density=0.05, format="csr", random_state=rng)
+        y = rng.integers(0, 2, size=105).astype(float)
+        w = rng.normal(0, 0.5, size=400)
+        plain = logreg_objective_and_grads(w, 0.2, X, y, 0.1)
+        prebuilt = logreg_objective_and_grads(w, 0.2, X, y, 0.1, X.T.tocsr())
+        assert plain[0] == prebuilt[0] and plain[2] == prebuilt[2]
+        np.testing.assert_array_equal(plain[1], prebuilt[1])
 
     def test_objective_non_increasing_with_regularization(self):
         X, y = random_dataset(0)

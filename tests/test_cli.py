@@ -357,11 +357,14 @@ def test_explain_top_k_below_one_is_config_error(workspace, tmp_path, capsys, to
      {"pretrain": {"learning_rate": 0}}, {"cnn": {"max_norm": float("nan")}},
      {"cnn": {"adadelta_eps": float("nan")}}, {"cnn": {"max_norm": float("inf")}},
      {"split": {"train_fraction": float("nan")}},
-     {"baselines": {"logreg_l2_lambda": float("inf")}}, "[" * 200_000],
+     {"baselines": {"logreg_l2_lambda": float("inf")}}, "[" * 200_000,
+     {"baselines": {"rf_n_trees": 0}}, {"baselines": {"rf_n_trees": -1}},
+     {"baselines": {"rf_max_depth": -1}}, {"baselines": {"rf_n_features_per_split": 0}}],
     ids=["section-string", "section-list", "field-type",
          "split-seed", "pretrain-seed", "cnn-seed", "cnn-n-heads",
          "pretrain-lr-nan", "pretrain-lr-zero", "cnn-max-norm-nan", "cnn-eps-nan",
-         "cnn-max-norm-inf", "split-fraction-nan", "baselines-lambda-inf", "deeply-nested"],
+         "cnn-max-norm-inf", "split-fraction-nan", "baselines-lambda-inf", "deeply-nested",
+         "rf-trees-zero", "rf-trees-negative", "rf-depth-negative", "rf-features-zero"],
 )
 def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override):
     """override: fields replacing the workspace config's, or the whole file's text."""

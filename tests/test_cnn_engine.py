@@ -47,8 +47,8 @@ class TestAgainstOracle:
         notes = ragged_notes(rng)
         labels = rng.integers(0, 2, size=(len(notes), n_heads)).astype(float)
 
-        acts = cnn.forward_batch(model, notes, train_mode=True,
-                                 dropout_rng=np.random.default_rng(11))
+        draws = np.random.default_rng(11).random(len(notes) * model.total_filters)
+        acts = cnn.forward_batch(model, notes, draws.reshape(len(notes), -1))
         got = cnn.backward_batch(model, acts, labels)
 
         oracle_rng = np.random.default_rng(11)  # the same dropout stream, one note at a time
@@ -63,6 +63,63 @@ class TestAgainstOracle:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10, err_msg=name)
         assert np.any(got["embeddings"] != 0.0)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_one_step_on_a_batch_in_descending_length_order(self, activation, monkeypatch):
+        # train runs the batch in length order, over two groups; each note
+        # still gets the dropout draws the oracle gives it in batch order.
+        monkeypatch.setattr(cnn, "GROUP_ELEMENTS", 2 * 40 * 96)  # 96 elements per position
+        rng = np.random.default_rng(3)
+        notes = ragged_notes(rng)[::-1]
+        labels = rng.integers(0, 2, size=(len(notes), 2)).astype(float)
+        models = {}
+        for name in ("engine", "oracle"):
+            models[name] = random_model(n_heads=2, activation=activation, seed=6)
+            models[name].config.epochs = 1  # one step: the batch holds every note
+        perm = np.random.default_rng([6, 0xD47A]).permutation(len(notes))  # train's order stream
+        train_data = [None] * len(notes)
+        for j, i in enumerate(perm):
+            train_data[i] = (notes[j], labels[j])
+
+        masks = {"engine": {}, "oracle": {}}
+        step_grads = {}
+        group_sizes = []
+
+        def spy_batch(model, id_lists, draws=None):
+            acts = real_batch(model, id_lists, draws)
+            group_sizes.append(len(id_lists))
+            for ids, mask in zip(id_lists, acts.dropout_mask):
+                masks["engine"][tuple(ids)] = mask
+            return acts
+
+        def spy_forward(model, ids, train_mode=False, dropout_rng=None):
+            acts = real_forward(model, ids, train_mode, dropout_rng)
+            masks["oracle"][tuple(ids)] = acts.dropout_mask
+            return acts
+
+        def spy_step(name, real_step):
+            def step(params, grads, *args):
+                step_grads[name] = {k: g * len(notes) for k, g in grads.items()}
+                return real_step(params, grads, *args)
+            return step
+
+        real_batch, real_forward = cnn.forward_batch, oracle.forward
+        monkeypatch.setattr(cnn, "forward_batch", spy_batch)
+        monkeypatch.setattr(oracle, "forward", spy_forward)
+        monkeypatch.setattr(cnn, "adadelta_step", spy_step("engine", cnn.adadelta_step))
+        monkeypatch.setattr(oracle, "adadelta_step", spy_step("oracle", oracle.adadelta_step))
+        _, got = cnn.train(models["engine"], train_data)
+        _, want = oracle.train(models["oracle"], train_data)
+
+        assert list(masks["oracle"]) == [tuple(ids) for ids in notes]  # descending lengths
+        assert group_sizes == [4, 1]  # lengths 1, 3, 5, 20, then 40
+        assert set(masks["engine"]) == set(masks["oracle"])
+        for ids, mask in masks["oracle"].items():
+            np.testing.assert_array_equal(masks["engine"][ids], mask)
+        for name, g in step_grads["oracle"].items():
+            np.testing.assert_allclose(step_grads["engine"][name], g, rtol=0, atol=1e-10,
+                                       err_msg=name)
+        np.testing.assert_allclose(got.train_loss, want.train_loss, rtol=1e-12)
 
     @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
     def test_single_note_backward_matches(self, dropout_p):
@@ -163,6 +220,8 @@ def test_global_ties_and_duplicates_match_the_oracle(zero_weights, k, one_note_g
     # zero weights tie every score, so width, position and note id decide the
     # order; a repeated note id and a literal "<pad>" token are kept as given.
     # One-note groups carry the running top k across every group boundary.
+    # The two "n1" notes run in length order whichever comes first, and their
+    # full ties still rank in input order.
     if one_note_groups:
         monkeypatch.setattr(cnn, "GROUP_ELEMENTS", 1)
     rng = np.random.default_rng(5)
@@ -177,14 +236,16 @@ def test_global_ties_and_duplicates_match_the_oracle(zero_weights, k, one_note_g
             model.conv_biases[w][:] = 0.0
         model.output_weights[:] = 0.0
     model.output_bias[:] = 5.0  # every document is predicted positive
-    for variant in saliency.VARIANTS:
-        got = saliency.global_top_phrases(model, vocab, documents, "p", 0, k, variant)
-        want = oracle.global_top_phrases(model, vocab, documents, "p", 0, k, variant)
-        assert [(e.phrase, e.width, e.position, e.note_id) for e in got.entries] == [
-            (e.phrase, e.width, e.position, e.note_id) for e in want.entries
-        ]
-        np.testing.assert_allclose([e.score for e in got.entries],
-                                   [e.score for e in want.entries], rtol=1e-9)
+    swapped = [documents[0], documents[3], documents[2], documents[1], documents[4]]
+    for docs in (documents, swapped):
+        for variant in saliency.VARIANTS:
+            got = saliency.global_top_phrases(model, vocab, docs, "p", 0, k, variant)
+            want = oracle.global_top_phrases(model, vocab, docs, "p", 0, k, variant)
+            assert [(e.phrase, e.width, e.position, e.note_id) for e in got.entries] == [
+                (e.phrase, e.width, e.position, e.note_id) for e in want.entries
+            ]
+            np.testing.assert_allclose([e.score for e in got.entries],
+                                       [e.score for e in want.entries], rtol=1e-9)
 
 
 # --------------------------------------------------------------------------

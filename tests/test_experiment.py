@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from notepheno import concepts
 from notepheno.cnn import load_checkpoint
 from notepheno.experiment import (
     ConfigError,
@@ -58,6 +59,31 @@ class TestSeedDerivation:
                 full.metrics[(phenotype, "2gram-lr")]
                 == single.metrics[(phenotype, "2gram-lr")]
             )
+
+
+def test_concept_models_of_a_pipeline_share_counts(corpus, tmp_path, monkeypatch):
+    # the -lr and -rf model of a concept pipeline match each note once
+    # between them, and score as each does alone.
+    calls = []
+    match = concepts.match_concepts
+    monkeypatch.setattr(concepts, "match_concepts",
+                        lambda tokens, d: calls.append(1) or match(tokens, d))
+    models = ["ctakes-lr", "ctakes-rf", "filter-lr", "filter-rf"]
+
+    def run(tag, names):
+        calls.clear()
+        result = run_experiment(experiment_config_from_dict(base_config(
+            corpus, tmp_path / tag, models=names, baselines={"rf_n_trees": 5})))
+        return result.metrics, len(calls)
+
+    together, shared_calls = run("together", models)
+    alone_calls = 0
+    for name in models:
+        metrics, n = run(name, [name])
+        alone_calls += n
+        for phenotype in ("pheno0", "pheno1"):
+            assert metrics[(phenotype, name)] == together[(phenotype, name)]
+    assert shared_calls > 0 and 2 * shared_calls == alone_calls
 
 
 class TestConfigParsing:
