@@ -14,18 +14,16 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from . import concepts, featurize
-from .featurize import FeatureSpace, feature_key_from_json, feature_key_to_json
+from .featurize import FeatureSpace
 from .optim import AdadeltaState, adadelta_step
 
 LOGREG_MAX_ITERS = 2000
 LOGREG_GRAD_TOL = 1e-5
-BASELINE_FORMAT_VERSION = 2
 
 # Baseline name -> (learner kind, feature pipeline). n-gram pipelines feed raw
 # n-gram counts; concept pipelines feed TF-IDF over (concept, negated) counts
@@ -45,7 +43,7 @@ def pipeline_record(name: str, phenotype: str) -> dict:
     return {"model": name, "phenotype": phenotype, **MODELS[name][1]}
 
 
-def _check_pipeline(kind: str, pipeline) -> None:
+def check_pipeline(kind: str, pipeline) -> None:
     """ValueError unless pipeline is the record of a `kind` baseline for a named phenotype."""
     name = pipeline.get("model") if isinstance(pipeline, dict) else None
     phenotype = pipeline.get("phenotype") if isinstance(pipeline, dict) else None
@@ -191,11 +189,6 @@ class Forest:
     bootstrap: bool = True
 
 
-# The forest's arrays and the dtype of each.
-FOREST_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int,
-                 "fraction": float, "roots": int}
-
-
 def _gini(pos: int, n: int) -> float:
     if n == 0:
         return 0.0
@@ -317,129 +310,3 @@ def predict_proba(kind: str, model: LinearModel | Forest, X: sparse.csr_matrix) 
     # each note's trees are one contiguous row, which mean() sums the way
     # np.mean sums one note's list of tree fractions
     return model.fraction[node].reshape(-1, n_trees).mean(axis=1)
-
-
-def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
-    """The six node arrays of a forest payload, checked so that routing ends:
-    every node is a leaf or a split on a feature of the space whose children
-    both come after it, and the roots are non-empty and index nodes."""
-    arrays = {}
-    for key, dtype in FOREST_ARRAYS.items():
-        values = np.array(payload[key])
-        kinds = "i" if dtype is int else "if"  # an integer list is a float list too
-        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
-            raise ValueError(f"forest {key} must be a flat list of {dtype.__name__}s")
-        arrays[key] = values.astype(dtype)
-    feature, left, right, roots = (arrays[key] for key in ("feature", "left", "right", "roots"))
-    n = len(feature)
-    if len({len(values) for key, values in arrays.items() if key != "roots"}) > 1:
-        raise ValueError("forest node arrays differ in length")
-    index = np.arange(n)
-    leaf = (feature == -1) & (left == -1) & (right == -1)
-    split = (feature >= 0) & (feature < n_features) & (index < left) & (index < right)
-    split &= (left < n) & (right < n)
-    bad = np.flatnonzero(~(leaf | split))
-    if len(bad):
-        raise ValueError(
-            f"forest node {bad[0]} is neither a leaf nor a split on one of {n_features} "
-            f"features whose children come after it among the {n} nodes"
-        )
-    if not len(roots) or not ((roots >= 0) & (roots < n)).all():
-        raise ValueError(f"the forest's roots must be one or more of its {n} nodes")
-    return arrays
-
-
-def _space_to_json(space: FeatureSpace) -> dict:
-    return {
-        "features": [feature_key_to_json(k) for k in space.index_to_feature],
-        "idf": space.idf,
-        "variant": space.variant,
-    }
-
-
-def _space_from_json(data: dict) -> FeatureSpace:
-    keys = [feature_key_from_json(item) for item in data["features"]]
-    idf = [float(v) for v in data["idf"]]
-    if len(idf) != len(keys):
-        raise ValueError("feature space has a different number of idf weights and features")
-    return FeatureSpace(
-        feature_to_index={k: i for i, k in enumerate(keys)},
-        idf=idf,
-        variant=data["variant"],
-        index_to_feature=keys,
-    )
-
-
-def save_baseline_checkpoint(
-    kind: str,
-    model: LinearModel | Forest,
-    space: FeatureSpace,
-    pipeline: dict,
-    path: str | Path,
-):
-    """Self-describing JSON checkpoint for a baseline model and its feature space."""
-    if kind == "logreg":
-        assert isinstance(model, LinearModel)
-        payload = {
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "l2_lambda": model.l2_lambda,
-        }
-    elif kind == "random_forest":
-        assert isinstance(model, Forest)
-        payload = {
-            **{key: getattr(model, key).tolist() for key in FOREST_ARRAYS},
-            "n_features_per_split": model.n_features_per_split,
-            "seed": model.seed,
-            "max_depth": model.max_depth,
-            "bootstrap": model.bootstrap,
-        }
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    doc = {
-        "format_version": BASELINE_FORMAT_VERSION,
-        "kind": kind,
-        "pipeline": pipeline,
-        "feature_space": _space_to_json(space),
-        "model": payload,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_baseline_checkpoint(path: str | Path, doc: dict | None = None):
-    """(kind, model, feature space, pipeline record) of a baseline checkpoint.
-
-    doc is the file's parsed JSON, for a caller that has already read it. A
-    pipeline record that MODELS does not describe is a ValueError here, not a
-    failure at featurization.
-    """
-    if doc is None:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != BASELINE_FORMAT_VERSION:
-        raise ValueError(f"{path}: format version {version!r}, expected {BASELINE_FORMAT_VERSION}")
-    kind = doc["kind"]
-    space = _space_from_json(doc["feature_space"])
-    payload = doc["model"]
-    if kind == "logreg":
-        model = LinearModel(
-            weights=np.array(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
-            l2_lambda=float(payload["l2_lambda"]),
-        )
-        if model.weights.shape != (space.n_features,):
-            raise ValueError(f"{path}: logistic regression needs a flat list of one weight per feature")
-    elif kind == "random_forest":
-        model = Forest(
-            **_forest_arrays(payload, space.n_features),
-            n_features_per_split=payload["n_features_per_split"],
-            seed=payload["seed"],
-            max_depth=payload["max_depth"],
-            bootstrap=payload["bootstrap"],
-        )
-    else:
-        raise ValueError(f"{path}: unknown baseline kind {kind!r}")
-    _check_pipeline(kind, doc["pipeline"])
-    return kind, model, space, doc["pipeline"]

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, cnn, metrics, saliency
+from . import baselines, checkpoint, cnn, metrics, saliency
 from .corpus import SplitSpec, Vocabulary, build_vocabulary, split_dataset, tokenize, write_split_manifest
 from .embeddings import PretrainConfig, pretrain_embeddings, save_embeddings
 from .experiment import (
@@ -142,35 +142,20 @@ def cmd_run_experiment(args) -> int:
     return EXIT_OK
 
 
-def _read_checkpoint(path: str) -> tuple[str, tuple]:
-    """Parse a checkpoint file once and load it by its kind.
-
-    Returns ("cnn", (model, vocab, phenotypes)) or, for a baseline,
-    (kind, (model, space, pipeline)). Any fault is a ModelLoadError (exit 4).
-    """
-    p = Path(path)
+def _read_checkpoint(path: str) -> checkpoint.Checkpoint:
+    """The checkpoint at path; any fault is a ModelLoadError (exit 4)."""
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-        kind = doc.get("kind") if isinstance(doc, dict) else None
-        if kind == "cnn":
-            return kind, cnn.load_checkpoint(p, doc)
-        if kind in ("logreg", "random_forest"):
-            return kind, baselines.load_baseline_checkpoint(p, doc)[1:]
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ModelLoadError(f"failed to load checkpoint {p}: {exc}") from exc
-    raise ModelLoadError(f"checkpoint {p} has unknown kind {kind!r}")
+        return checkpoint.load(path)
+    except (OSError, LookupError, TypeError, ValueError, RecursionError) as exc:
+        raise ModelLoadError(f"failed to load checkpoint {path}: {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
-    kind, loaded = _read_checkpoint(args.checkpoint)
+    ckpt = _read_checkpoint(args.checkpoint)
     notes = read_notes(args.corpus)
     if not notes:
         raise DataError(f"corpus {args.corpus} is empty")
-    if kind == "cnn":
-        model, vocab, trained = loaded
-    else:
-        model, space, pipeline = loaded
-        trained = [pipeline["phenotype"]]
+    trained = ckpt.phenotypes
     targets = [args.phenotype] if args.phenotype else trained
     for phenotype in targets:
         if phenotype not in trained:
@@ -178,21 +163,23 @@ def cmd_evaluate(args) -> int:
     require_labels(notes, targets)
 
     token_lists = [tokenize(note.text) for note in notes]
-    if kind == "cnn":
+    if ckpt.kind == "cnn":
         require_tokens(notes, token_lists)
-        _, preds = cnn.predict_batch(model, [vocab.resolve(tokens) for tokens in token_lists])
+        _, preds = cnn.predict_batch(ckpt.model, [ckpt.vocab.resolve(tokens) for tokens in token_lists])
         name, columns = "cnn", {p: preds[:, trained.index(p)] for p in targets}
     else:
+        pipeline = ckpt.pipeline
         dictionary = None
         if pipeline["features"] == "concepts":
             if not args.dictionary:
                 raise DataError("concept-based checkpoints need --dictionary to featurize text")
             dictionary = read_dictionary(args.dictionary)
         counts = baselines.pipeline_counts(pipeline, token_lists, dictionary)
-        probs = baselines.predict_proba(kind, model, baselines.pipeline_vectors(pipeline, counts, space))
+        X = baselines.pipeline_vectors(pipeline, counts, ckpt.space)
+        probs = baselines.predict_proba(ckpt.kind, ckpt.model, X)
         name, columns = pipeline["model"], {trained[0]: probs >= 0.5}
 
-    rows = ["phenotype,model,ppv_pct,sensitivity_pct,f1_pct,ppv,sensitivity,f1"]
+    rows = [metrics.REPORT_HEADER]
     for phenotype in targets:
         triple = score_predictions(columns[phenotype], notes, phenotype)
         rows.append(metrics.report_row(phenotype, name, triple))
@@ -206,10 +193,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    kind, loaded = _read_checkpoint(args.checkpoint)
-    if kind != "cnn":
+    ckpt = _read_checkpoint(args.checkpoint)
+    if ckpt.kind != "cnn":
         raise ModelLoadError("explain requires a CNN checkpoint")
-    model, vocab, phenotypes = loaded
+    model, vocab, phenotypes = ckpt.model, ckpt.vocab, ckpt.phenotypes
     if args.vocab:
         try:
             with open(args.vocab, encoding="utf-8") as fh:

@@ -14,22 +14,19 @@ pads little, and groups are capped in size so the working set stays bounded.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
-from .corpus import PAD_ID, Vocabulary, require_finite
+from .corpus import PAD_ID, require_finite
 from .embeddings import EmbeddingMatrix
 from .metrics import confusion, f1
 from .optim import AdadeltaState, adadelta_step
 
 PROB_CLAMP = 1e-7
 INIT_BOUND = 0.01
-CHECKPOINT_FORMAT_VERSION = 1
 # Cap on one group's working set, in float64 elements: padded positions times
 # the windows and activations each position holds. Training splits every
 # minibatch, and inference every note list, into groups under this cap, so
@@ -276,17 +273,22 @@ def forward_batch(
     )
 
 
-def forward_groups(model: CnnModel, id_lists: list[list[int]]):
-    """Eval-mode forward passes over id_lists, one bounded group at a time.
+def forward_groups(
+    model: CnnModel, id_lists: list[list[int]], draws: np.ndarray | None = None
+):
+    """Forward passes over id_lists, one bounded group at a time.
 
     Notes run in a stable order of length, so a group pads little. Yields
     (rows, BatchActivations), rows holding the input indices of the group's
-    notes; only one group is alive at once.
+    notes; only one group is alive at once. Without draws the passes run in
+    eval mode; given draws, (notes, total filters) dropout uniforms in input
+    order, each group's notes get their rows (see forward_batch).
     """
     order = np.argsort([len(ids) for ids in id_lists], kind="stable")
     by_length = [id_lists[i] for i in order]
     for lo, hi in groups(model, by_length):
-        yield order[lo:hi], forward_batch(model, by_length[lo:hi])
+        rows = order[lo:hi]
+        yield rows, forward_batch(model, by_length[lo:hi], None if draws is None else draws[rows])
 
 
 def forward(
@@ -472,17 +474,13 @@ def train(
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            by_length = np.argsort([len(train_data[i][0]) for i in batch], kind="stable")
-            id_lists = [train_data[batch[j]][0] for j in by_length]
             labels = np.array([train_data[i][1] for i in batch], dtype=float)
             draws = None
             if cfg.dropout_p > 0.0:
                 draws = dropout_rng.random(len(batch) * model.total_filters).reshape(len(batch), -1)
             note_losses = np.empty(len(batch))
             grads = {name: np.zeros_like(p) for name, p in params.items()}
-            for lo, hi in groups(model, id_lists):
-                rows = by_length[lo:hi]
-                acts = forward_batch(model, id_lists[lo:hi], None if draws is None else draws[rows])
+            for rows, acts in forward_groups(model, [train_data[i][0] for i in batch], draws):
                 note_losses[rows] = _note_losses(acts.probs, labels[rows])
                 backward_batch(model, acts, labels[rows], grads)
             epoch_losses.extend(note_losses)
@@ -540,61 +538,3 @@ def predict(
     """Per-head (probability, binary label) of one note with dropout off."""
     probs, labels = predict_batch(model, [token_ids], threshold)
     return probs[0], labels[0]
-
-
-def save_checkpoint(
-    model: CnnModel, vocab: Vocabulary, phenotypes: list[str], path: str | Path
-):
-    """Self-describing JSON checkpoint; save -> load round-trips bit-exactly."""
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "kind": "cnn",
-        "config": asdict(model.config),
-        "phenotypes": list(phenotypes),
-        "vocabulary": vocab.to_dict(),
-        "vocab_sha256": vocab.sha256(),
-        "params": {
-            "embeddings": model.embeddings.vectors.tolist(),
-            "conv_weights": {str(w): model.conv_weights[w].tolist() for w in model.config.filter_widths},
-            "conv_biases": {str(w): model.conv_biases[w].tolist() for w in model.config.filter_widths},
-            "output_weights": model.output_weights.tolist(),
-            "output_bias": model.output_bias.tolist(),
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_checkpoint(
-    path: str | Path, doc: dict | None = None
-) -> tuple[CnnModel, Vocabulary, list[str]]:
-    """(model, vocabulary, head phenotypes); doc is the file's parsed JSON, for
-    a caller that has already read it."""
-    if doc is None:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if doc.get("kind") != "cnn":
-        raise ValueError(f"{path}: not a CNN checkpoint (kind={doc.get('kind')!r})")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format version")
-    config = CnnConfig(**doc["config"])
-    config.validate()
-    params = doc["params"]
-    model = CnnModel(
-        embeddings=EmbeddingMatrix(vectors=np.array(params["embeddings"], dtype=float)),
-        conv_weights={
-            w: np.array(params["conv_weights"][str(w)], dtype=float)
-            for w in config.filter_widths
-        },
-        conv_biases={
-            w: np.array(params["conv_biases"][str(w)], dtype=float)
-            for w in config.filter_widths
-        },
-        output_weights=np.array(params["output_weights"], dtype=float),
-        output_bias=np.array(params["output_bias"], dtype=float),
-        config=config,
-    )
-    vocab = Vocabulary.from_dict(doc["vocabulary"])
-    if vocab.sha256() != doc["vocab_sha256"]:
-        raise ValueError(f"{path}: vocabulary hash mismatch inside checkpoint")
-    return model, vocab, list(doc["phenotypes"])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, cnn, concepts, featurize, metrics
+from . import baselines, checkpoint, cnn, concepts, featurize, metrics
 from .corpus import (
     Note,
     SplitSpec,
@@ -311,7 +311,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             config, vocab, tokens_by_id, unlabeled, train_notes, val_notes, test_notes,
             out_dir, derived_seeds, result, say,
         )
-    concept_counts: dict[tuple[bool, str], list[dict]] = {}
+    concept_counts: dict[tuple[bool, str | None], list[dict]] = {}
     for name in config.models:
         if name in baselines.MODELS:
             for phenotype in config.phenotypes:
@@ -360,7 +360,7 @@ def _run_cnn(
         model, history = cnn.train(model, data_for(train_notes), data_for(val_notes))
         result.histories[f"cnn:{tag}"] = history
         ckpt = out_dir / "checkpoints" / f"cnn__{tag}.json"
-        cnn.save_checkpoint(model, vocab, heads, ckpt)
+        checkpoint.save_cnn(model, vocab, heads, ckpt)
         result.paths[f"cnn:{tag}"] = ckpt
 
         _, labels = cnn.predict_batch(
@@ -377,13 +377,13 @@ def _run_baseline(
     out_dir, derived_seeds, result, say, concept_counts,
 ):
     """Train, save and score one baseline. concept_counts maps (filtered,
-    phenotype) to the concept counts of the train and test notes, so the -lr
-    and -rf model of a concept pipeline match the notes once."""
+    phenotype, or None when unfiltered) to the concept counts of the train
+    and test notes, so each concept pipeline matches the notes once."""
     kind = baselines.MODELS[name][0]
     pipeline = baselines.pipeline_record(name, phenotype)
     token_lists = [tokens_by_id[note.note_id] for note in train_notes + test_notes]
     if pipeline["features"] == "concepts":
-        key = (pipeline["filtered"], phenotype)
+        key = (pipeline["filtered"], phenotype if pipeline["filtered"] else None)
         if key not in concept_counts:
             concept_counts[key] = baselines.pipeline_counts(pipeline, token_lists, dictionary)
         counts = concept_counts[key]
@@ -407,7 +407,7 @@ def _run_baseline(
             seed=seed,
         )
     ckpt = out_dir / "checkpoints" / f"{name}__{phenotype}.json"
-    baselines.save_baseline_checkpoint(kind, model, space, pipeline, ckpt)
+    checkpoint.save_baseline(kind, model, space, pipeline, ckpt)
     result.paths[f"{name}:{phenotype}"] = ckpt
 
     probs = baselines.predict_proba(
@@ -435,7 +435,7 @@ def _report_header(config, split_hash) -> list[str]:
 
 def _write_reports(config, result, split_hash, derived_seeds, out_dir):
     header = _report_header(config, split_hash)
-    lines = header + ["phenotype,model,ppv_pct,sensitivity_pct,f1_pct,ppv,sensitivity,f1"]
+    lines = header + [metrics.REPORT_HEADER]
     for phenotype in config.phenotypes:
         for model in config.models:
             triple = result.metrics.get((phenotype, model))

@@ -100,19 +100,3 @@ def tfidf_transform(counts: dict[FeatureKey, int], space: FeatureSpace) -> dict[
     """One document's TF-IDF row as a {column: value} dict with no explicit zeros."""
     row = transform([counts], space, tfidf=True)
     return dict(zip(row.indices.tolist(), row.data.tolist()))
-
-
-def feature_key_to_json(key: FeatureKey) -> list:
-    """Stable JSON encoding for the two key kinds used by the pipelines."""
-    if len(key) == 2 and isinstance(key[1], bool):
-        return ["concept", key[0], key[1]]
-    return ["ngram", list(key)]
-
-
-def feature_key_from_json(data: list) -> FeatureKey:
-    kind = data[0]
-    if kind == "concept":
-        return (data[1], bool(data[2]))
-    if kind == "ngram":
-        return tuple(data[1])
-    raise ValueError(f"unknown feature key kind {kind!r}")

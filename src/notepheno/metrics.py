@@ -88,6 +88,10 @@ def _fmt(value: float | None, as_percent: bool) -> str:
     return repr(value)
 
 
+# The column line above report_row lines, in metrics.csv and evaluate reports.
+REPORT_HEADER = "phenotype,model,ppv_pct,sensitivity_pct,f1_pct,ppv,sensitivity,f1"
+
+
 def report_row(phenotype: str, model_name: str, triple: MetricTriple) -> str:
     """One comma-separated report line: integer percentages plus full precision."""
     fields = [phenotype, model_name]

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import baselines_oracle as oracle
+from notepheno import checkpoint
 from notepheno.baselines import (
-    FOREST_ARRAYS,
     Forest,
     LinearModel,
-    load_baseline_checkpoint,
     logreg_objective_and_grads,
     pipeline_record,
     predict_proba,
-    save_baseline_checkpoint,
     train_logreg,
     train_rf,
     vectors_to_csr,
@@ -49,7 +47,7 @@ def leaf_forest(fractions, roots):
 
 
 def forest_arrays(forest):
-    return {key: getattr(forest, key).tolist() for key in FOREST_ARRAYS}
+    return {key: getattr(forest, key).tolist() for key in checkpoint.FOREST_ARRAYS}
 
 
 def chain_dataset():
@@ -211,11 +209,11 @@ class TestCheckpoints:
         model = train_logreg(X, y, l2_lambda=0.5)
         path = tmp_path / "lr.json"
         pipeline = {"model": "2gram-lr", "phenotype": "p", "features": "ngram", "n": 2, "tfidf": False}
-        save_baseline_checkpoint("logreg", model, space, pipeline, path)
-        kind, loaded, loaded_space, loaded_pipeline = load_baseline_checkpoint(path)
-        assert kind == "logreg" and loaded_pipeline == pipeline
-        assert loaded_space.feature_to_index == space.feature_to_index
-        assert predict_proba("logreg", loaded, X).tolist() == predict_proba("logreg", model, X).tolist()
+        checkpoint.save_baseline("logreg", model, space, pipeline, path)
+        loaded = checkpoint.load(path)
+        assert loaded.kind == "logreg" and loaded.pipeline == pipeline and loaded.phenotypes == ["p"]
+        assert loaded.space.feature_to_index == space.feature_to_index
+        assert predict_proba("logreg", loaded.model, X).tolist() == predict_proba("logreg", model, X).tolist()
 
     def test_rf_roundtrip_bit_exact(self, tmp_path):
         X, y = random_dataset(6, n=40, d=3)
@@ -224,11 +222,11 @@ class TestCheckpoints:
         path = tmp_path / "rf.json"
         pipeline = {"model": "ctakes-rf", "phenotype": "p", "features": "concepts",
                     "filtered": False, "tfidf": True}
-        save_baseline_checkpoint("random_forest", forest, space, pipeline, path)
-        kind, loaded, _, _ = load_baseline_checkpoint(path)
-        assert kind == "random_forest"
-        assert forest_arrays(loaded) == forest_arrays(forest)
-        assert (predict_proba("random_forest", loaded, X).tolist()
+        checkpoint.save_baseline("random_forest", forest, space, pipeline, path)
+        loaded = checkpoint.load(path)
+        assert loaded.kind == "random_forest"
+        assert forest_arrays(loaded.model) == forest_arrays(forest)
+        assert (predict_proba("random_forest", loaded.model, X).tolist()
                 == predict_proba("random_forest", forest, X).tolist())
 
     def test_a_tree_deeper_than_the_recursion_limit_trains_roundtrips_and_predicts(self, tmp_path):
@@ -237,8 +235,8 @@ class TestCheckpoints:
         assert len(forest.feature) == 2 * len(y) - 1  # a split per row but the last
         space = fit_feature_space([{("cui", False): 1}])
         path = tmp_path / "rf.json"
-        save_baseline_checkpoint("random_forest", forest, space, pipeline_record("ctakes-rf", "p"), path)
-        loaded = load_baseline_checkpoint(path)[1]
+        checkpoint.save_baseline("random_forest", forest, space, pipeline_record("ctakes-rf", "p"), path)
+        loaded = checkpoint.load(path).model
         assert forest_arrays(loaded) == forest_arrays(forest)
         assert (predict_proba("random_forest", loaded, X) >= 0.5).astype(int).tolist() == y
 
@@ -246,7 +244,7 @@ class TestCheckpoints:
         X, y = random_dataset(6, n=40, d=3)
         space = fit_feature_space([{("cui", True): 1, ("cui", False): 2, ("cui2", False): 1}])
         path = tmp_path / "rf.json"
-        save_baseline_checkpoint("random_forest", train_rf(X, y, n_trees=2, seed=2), space,
+        checkpoint.save_baseline("random_forest", train_rf(X, y, n_trees=2, seed=2), space,
                                  pipeline_record("ctakes-rf", "p"), path)
         doc = json.loads(path.read_text())
         doc["format_version"] = 1
@@ -254,13 +252,28 @@ class TestCheckpoints:
                         "n_features_per_split": 2, "seed": 2, "max_depth": None, "bootstrap": True}
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="format version 1, expected 2"):
-            load_baseline_checkpoint(path)
+            checkpoint.load(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         space = fit_feature_space([{"a": 1}])
         with pytest.raises(ValueError, match="unknown baseline kind"):
-            save_baseline_checkpoint("svm", LinearModel(np.zeros(1), 0.0, 1.0), space, {}, path)
+            checkpoint.save_baseline("svm", LinearModel(np.zeros(1), 0.0, 1.0), space, {}, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["logreg", "random_forest"])
+    def test_double_roundtrip_is_stable(self, tmp_path, kind):
+        X, y = random_dataset(6, n=40, d=3)
+        space = fit_feature_space([{("cui", True): 1, ("cui", False): 2, ("cui2", False): 1}])
+        if kind == "logreg":
+            model, name = train_logreg(X, y, l2_lambda=0.5), "ctakes-lr"
+        else:
+            model, name = train_rf(X, y, n_trees=5, max_depth=4, seed=2), "ctakes-rf"
+        p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        checkpoint.save_baseline(kind, model, space, pipeline_record(name, "p"), p1)
+        loaded = checkpoint.load(p1)
+        checkpoint.save_baseline(loaded.kind, loaded.model, loaded.space, loaded.pipeline, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def random_rows(seed, n, d):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import baselines_oracle as oracle
-from notepheno import baselines, cnn
+from notepheno import baselines, checkpoint
 from notepheno.cli import main
 from notepheno.corpus import Note, load_notes_jsonl, save_notes_jsonl
 from notepheno.embeddings import load_embeddings
@@ -279,14 +279,15 @@ class TestExplainCommand:
 
     def test_zero_weight_model_reports_zero_scores(self, workspace, tmp_path):
         src = workspace["root"] / "out" / "checkpoints" / "cnn__pheno0.json"
-        model, vocab, phenotypes = cnn.load_checkpoint(src)
+        loaded = checkpoint.load(src)
+        model = loaded.model
         for w in model.config.filter_widths:
             model.conv_weights[w][:] = 0.0
             model.conv_biases[w][:] = 0.0
         model.output_weights[:] = 0.0
         model.output_bias[:] = 0.0
         zero_ckpt = tmp_path / "zero.json"
-        cnn.save_checkpoint(model, vocab, phenotypes, zero_ckpt)
+        checkpoint.save_cnn(model, loaded.vocab, loaded.phenotypes, zero_ckpt)
         with pytest.warns(UserWarning, match="zero"):
             code = main(["explain", "--checkpoint", str(zero_ckpt),
                          "--corpus", str(workspace["paths"]["labeled"]),
@@ -429,6 +430,27 @@ def _as_v1_forest(doc):
                     "max_depth": None, "bootstrap": True}
 
 
+def _cnn_argv(workspace, command, ckpt, tmp_path) -> list[str]:
+    if command == "evaluate":
+        return _evaluate_argv(workspace, ckpt)
+    return ["explain", "--checkpoint", str(ckpt), "--corpus", str(workspace["paths"]["labeled"]),
+            "--phenotype", "pheno0", "--out", str(tmp_path / "r")]
+
+
+# CNN checkpoints whose arrays or phenotypes do not fit the model's config,
+# vocabulary (one embedding row per token) and heads, or whose arrays hold a
+# null (read as NaN).
+_BAD_CNN_CHECKPOINTS = {
+    "embeddings-3-rows": lambda doc: doc["params"].update(embeddings=doc["params"]["embeddings"][:3]),
+    "filters-2-of-8": lambda doc: doc["params"]["conv_weights"].update({"2": doc["params"]["conv_weights"]["2"][:2]}),
+    "bias-2-of-8": lambda doc: doc["params"]["conv_biases"].update({"3": [0.0, 0.0]}),
+    "output-weights-3-wide": lambda doc: doc["params"].update(
+        output_weights=[row[:3] for row in doc["params"]["output_weights"]]),
+    "output-bias-2-heads": lambda doc: doc["params"].update(output_bias=[0.0, 0.0]),
+    "phenotypes-2-heads": lambda doc: doc.update(phenotypes=["pheno0", "x"]),
+    "phenotypes-string": lambda doc: doc.update(phenotypes="pheno0"),
+    "output-bias-null": lambda doc: doc["params"].update(output_bias=[None]),
+}
 _BAD_RECORDS = {"list-record": "[1, 2]", "int-text": '{"note_id": "a", "text": 5, "labels": {"pheno0": 1}}',
                 "list-labels": '{"note_id": "a", "text": "x", "labels": [1]}'}
 _ONE_COLUMN = "c1\n"
@@ -507,6 +529,9 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
             lambda doc: doc["model"].update(weights=doc["model"]["weights"][1:]))), 4,
             id="logreg-weight-missing"),
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["model"]["weights"].__setitem__(0, None))), 4,
+            id="logreg-weight-null"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"].update(idf=[])),
             "--dictionary", str(ws["paths"]["dictionary"])), 4,
             id="space-without-idf"),
@@ -516,8 +541,15 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
             "--dictionary", str(ws["paths"]["dictionary"])), 4,
             id="space-idf-strings"),
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["feature_space"]["features"].__setitem__(0, []))), 4,
+            id="space-empty-feature-key"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "cnn__pheno0.json", lambda doc: doc["config"].update(depth=3))), 4,
             id="cnn-unknown-config-field"),
+        *[pytest.param(lambda ws, tmp, edit=edit, command=command: _cnn_argv(
+            ws, command, _tampered(ws, tmp, "cnn__pheno0.json", edit), tmp), 4,
+            id=f"{command}-cnn-{name}")
+          for name, edit in _BAD_CNN_CHECKPOINTS.items() for command in ("evaluate", "explain")],
         pytest.param(lambda ws, tmp: _evaluate_argv(
             ws, _ckpt(ws, "2gram-lr__pheno0.json"),
             "--phenotype", "pheno1"), 2,

@@ -9,13 +9,12 @@ from notepheno.cnn import (
     backward,
     forward,
     init_model,
-    load_checkpoint,
     loss,
     predict,
     apply_max_norm,
-    save_checkpoint,
     train,
 )
+from notepheno import checkpoint
 from notepheno.corpus import PAD_ID, build_vocabulary, tokenize
 from notepheno.embeddings import EmbeddingMatrix, init_embeddings
 from notepheno.metrics import confusion, f1
@@ -395,27 +394,30 @@ class TestCheckpoint:
         vocab = build_vocabulary([["alcohol", "abuse", "pt", "denies"]], 1)
         model = tiny_model(vocab_size=len(vocab), n_heads=2)
         path = tmp_path / "model.json"
-        save_checkpoint(model, vocab, ["alcohol_abuse", "depression"], path)
-        loaded, loaded_vocab, phenotypes = load_checkpoint(path)
-        assert phenotypes == ["alcohol_abuse", "depression"]
-        assert loaded_vocab.id_to_token == vocab.id_to_token
+        checkpoint.save_cnn(model, vocab, ["alcohol_abuse", "depression"], path)
+        loaded = checkpoint.load(path)
+        assert loaded.kind == "cnn" and loaded.phenotypes == ["alcohol_abuse", "depression"]
+        assert loaded.vocab.id_to_token == vocab.id_to_token
         ids = vocab.resolve(["pt", "denies", "alcohol", "abuse"])
-        np.testing.assert_array_equal(forward(model, ids).probs, forward(loaded, ids).probs)
+        np.testing.assert_array_equal(forward(model, ids).probs, forward(loaded.model, ids).probs)
 
     def test_double_roundtrip_is_stable(self, tmp_path):
         vocab = build_vocabulary([["a", "b", "c"]], 1)
         model = tiny_model(vocab_size=len(vocab))
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        save_checkpoint(model, vocab, ["p"], p1)
-        loaded, v, ph = load_checkpoint(p1)
-        save_checkpoint(loaded, v, ph, p2)
+        checkpoint.save_cnn(model, vocab, ["p"], p1)
+        loaded = checkpoint.load(p1)
+        checkpoint.save_cnn(loaded.model, loaded.vocab, loaded.phenotypes, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"kind": "logreg", "format_version": 1}')
-        with pytest.raises(ValueError, match="not a CNN checkpoint"):
-            load_checkpoint(path)
+        path.write_text('{"kind": "svm", "format_version": 1}')
+        with pytest.raises(ValueError, match="unknown checkpoint kind 'svm'"):
+            checkpoint.load(path)
+        path.write_text('{"kind": "cnn", "format_version": 2}')
+        with pytest.raises(ValueError, match="cnn checkpoint format version 2, expected 1"):
+            checkpoint.load(path)
 
 
 class TestConfigValidation:

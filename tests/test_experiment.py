@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from notepheno import concepts
-from notepheno.cnn import load_checkpoint
+from notepheno import checkpoint, concepts
 from notepheno.experiment import (
     ConfigError,
     DataError,
@@ -86,6 +85,24 @@ def test_concept_models_of_a_pipeline_share_counts(corpus, tmp_path, monkeypatch
     assert shared_calls > 0 and 2 * shared_calls == alone_calls
 
 
+def test_unfiltered_concept_counts_are_shared_across_phenotypes(tmp_path, monkeypatch):
+    # ctakes-* counts do not depend on the phenotype: a three-phenotype run of
+    # both unfiltered models matches each train and test note once.
+    paths = generate_synthetic_corpus(
+        SyntheticSpec(n_notes=80, vocab_size=40, n_phenotypes=3, seed=6), tmp_path / "corpus"
+    )
+    calls = []
+    match = concepts.match_concepts
+    monkeypatch.setattr(concepts, "match_concepts",
+                        lambda tokens, d: calls.append(1) or match(tokens, d))
+    out = tmp_path / "out"
+    run_experiment(experiment_config_from_dict(base_config(
+        paths, out, phenotypes=["pheno0", "pheno1", "pheno2"], models=["ctakes-lr", "ctakes-rf"],
+        baselines={"rf_n_trees": 5})))
+    n_scored = sum(len((out / "split" / f"{part}.ids").read_text().split()) for part in ("train", "test"))
+    assert n_scored > 0 and len(calls) == n_scored
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key_rejected(self, corpus, tmp_path):
         data = base_config(corpus, tmp_path, typo_key=1)
@@ -137,9 +154,9 @@ class TestMultilabel:
         result = run_experiment(cfg)
         ckpt = tmp_path / "ml" / "checkpoints" / "cnn__multilabel.json"
         assert ckpt.exists()
-        model, _, phenotypes = load_checkpoint(ckpt)
-        assert phenotypes == ["pheno0", "pheno1"]
-        assert model.config.n_heads == 2
+        loaded = checkpoint.load(ckpt)
+        assert loaded.phenotypes == ["pheno0", "pheno1"]
+        assert loaded.model.config.n_heads == 2
         assert ("pheno0", "cnn") in result.metrics
         assert ("pheno1", "cnn") in result.metrics
 

@@ -5,11 +5,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import baselines_oracle as oracle
+from notepheno.checkpoint import _key_from_json, _key_to_json
 from notepheno.featurize import (
     FeatureSpace,
     extract_ngrams,
-    feature_key_from_json,
-    feature_key_to_json,
     fit_feature_space,
     tfidf_transform,
     transform,
@@ -136,7 +135,7 @@ class TestKeySerialization:
         [("alcohol", "abuse"), ("a",), ("cui001", True), ("cui001", False)],
     )
     def test_roundtrip(self, key):
-        assert feature_key_from_json(feature_key_to_json(key)) == key
+        assert _key_from_json(_key_to_json(key)) == key
 
 
 # Documents over a ten-key pool, so rows reach 8+ features (where a pairwise
