@@ -3,9 +3,9 @@
 A checkpoint is one JSON document with sorted keys, so equal models give
 equal bytes. A CNN checkpoint holds the config, head phenotypes, vocabulary
 and parameters; a baseline checkpoint the pipeline record, feature space and
-learner. load() parses a file once and checks it against the model it
-describes; a fault is an OSError, LookupError, TypeError, ValueError or
-RecursionError.
+learner. save() writes a Checkpoint; load() parses a file once and checks it
+against the model it describes; a fault is an OSError, LookupError,
+TypeError, ValueError or RecursionError.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import Forest, LinearModel, check_pipeline
 from .cnn import CnnConfig, CnnModel
-from .corpus import Vocabulary
+from .corpus import Vocabulary, check_types
 from .embeddings import EmbeddingMatrix
 from .featurize import FeatureKey, FeatureSpace
 
@@ -31,8 +31,9 @@ FOREST_SETTINGS = ("n_features_per_split", "seed", "max_depth", "bootstrap")
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint: phenotypes are a CNN's heads or a baseline's one
-    phenotype; vocab is set for a CNN, space and pipeline for a baseline."""
+    """A trained model, from training through its file to scoring: phenotypes
+    are a CNN's heads or a baseline's one phenotype; vocab is set for a CNN,
+    space and pipeline for a baseline."""
 
     kind: str
     model: CnnModel | LinearModel | Forest
@@ -42,21 +43,25 @@ class Checkpoint:
     pipeline: dict | None = None
 
 
-def _write(doc: dict, path: str | Path):
+def save(ckpt: Checkpoint, path: str | Path):
+    """Write a checkpoint; save(load(p), q) writes p's bytes. An unknown kind
+    raises before the file is opened."""
+    if ckpt.kind not in FORMAT_VERSIONS:
+        raise ValueError(f"unknown checkpoint kind {ckpt.kind!r}")
+    doc = _cnn_doc(ckpt) if ckpt.kind == "cnn" else _baseline_doc(ckpt)
+    doc.update(format_version=FORMAT_VERSIONS[ckpt.kind], kind=ckpt.kind)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def save_cnn(model: CnnModel, vocab: Vocabulary, phenotypes: list[str], path: str | Path):
-    """Write a CNN checkpoint; save -> load round-trips bit-exactly."""
+def _cnn_doc(ckpt: Checkpoint) -> dict:
+    model = ckpt.model
     widths = model.config.filter_widths
-    _write({
-        "format_version": FORMAT_VERSIONS["cnn"],
-        "kind": "cnn",
+    return {
         "config": asdict(model.config),
-        "phenotypes": list(phenotypes),
-        "vocabulary": vocab.to_dict(),
-        "vocab_sha256": vocab.sha256(),
+        "phenotypes": list(ckpt.phenotypes),
+        "vocabulary": ckpt.vocab.to_dict(),
+        "vocab_sha256": ckpt.vocab.sha256(),
         "params": {
             "embeddings": model.embeddings.vectors.tolist(),
             "conv_weights": {str(w): model.conv_weights[w].tolist() for w in widths},
@@ -64,7 +69,7 @@ def save_cnn(model: CnnModel, vocab: Vocabulary, phenotypes: list[str], path: st
             "output_weights": model.output_weights.tolist(),
             "output_bias": model.output_bias.tolist(),
         },
-    }, path)
+    }
 
 
 def _key_to_json(key: FeatureKey) -> list:
@@ -83,30 +88,22 @@ def _key_from_json(data: list) -> FeatureKey:
     raise ValueError(f"unknown feature key kind {kind!r}")
 
 
-def save_baseline(
-    kind: str, model: LinearModel | Forest, space: FeatureSpace, pipeline: dict, path: str | Path
-):
-    """Write a baseline checkpoint: the learner, its feature space and pipeline record."""
-    if kind == "logreg":
-        assert isinstance(model, LinearModel)
+def _baseline_doc(ckpt: Checkpoint) -> dict:
+    model, space = ckpt.model, ckpt.space
+    if ckpt.kind == "logreg":
         payload = {"weights": model.weights.tolist(), "bias": model.bias, "l2_lambda": model.l2_lambda}
-    elif kind == "random_forest":
-        assert isinstance(model, Forest)
+    else:
         payload = {key: getattr(model, key) for key in FOREST_SETTINGS}
         payload.update((key, getattr(model, key).tolist()) for key in FOREST_ARRAYS)
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    _write({
-        "format_version": FORMAT_VERSIONS[kind],
-        "kind": kind,
-        "pipeline": pipeline,
+    return {
+        "pipeline": ckpt.pipeline,
         "feature_space": {
             "features": [_key_to_json(k) for k in space.index_to_feature],
             "idf": space.idf,
             "variant": space.variant,
         },
         "model": payload,
-    }, path)
+    }
 
 
 def load(path: str | Path) -> Checkpoint:
@@ -135,6 +132,7 @@ def _array(values, name: str, shape: tuple) -> np.ndarray:
 
 def _load_cnn(doc: dict) -> Checkpoint:
     config = CnnConfig(**doc["config"])
+    check_types(CnnConfig, doc["config"], "config.")
     config.validate()
     vocab = Vocabulary.from_dict(doc["vocabulary"])
     if vocab.sha256() != doc["vocab_sha256"]:
@@ -175,6 +173,9 @@ def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
     n = len(feature)
     if len({len(values) for key, values in arrays.items() if key != "roots"}) > 1:
         raise ValueError("forest node arrays differ in length")
+    _array(arrays["threshold"], "forest threshold", (n,))
+    if not ((arrays["fraction"] >= 0) & (arrays["fraction"] <= 1)).all():
+        raise ValueError("forest fraction must lie in [0, 1]")
     index = np.arange(n)
     leaf = (feature == -1) & (left == -1) & (right == -1)
     split = (feature >= 0) & (feature < n_features) & (index < left) & (index < right)
@@ -193,15 +194,13 @@ def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
 def _load_baseline(kind: str, doc: dict) -> Checkpoint:
     data = doc["feature_space"]
     keys = [_key_from_json(item) for item in data["features"]]
-    idf = [float(v) for v in data["idf"]]
-    if len(idf) != len(keys):
-        raise ValueError("feature space has a different number of idf weights and features")
+    idf = _array(data["idf"], "idf", (len(keys),)).tolist()
     space = FeatureSpace({k: i for i, k in enumerate(keys)}, idf, data["variant"], keys)
     payload = doc["model"]
     if kind == "logreg":
         model = LinearModel(
             weights=_array(payload["weights"], "logistic regression weights", (space.n_features,)),
-            bias=float(payload["bias"]),
+            bias=float(_array(payload["bias"], "logistic regression bias", ())),
             l2_lambda=float(payload["l2_lambda"]),
         )
     else:

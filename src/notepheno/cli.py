@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, checkpoint, cnn, metrics, saliency
+from . import checkpoint, metrics, saliency
 from .corpus import SplitSpec, Vocabulary, build_vocabulary, split_dataset, tokenize, write_split_manifest
 from .embeddings import PretrainConfig, pretrain_embeddings, save_embeddings
 from .experiment import (
@@ -21,6 +21,7 @@ from .experiment import (
     DataError,
     ModelLoadError,
     load_experiment_config,
+    predict_labels,
     read_dictionary,
     read_notes,
     require_labels,
@@ -163,21 +164,15 @@ def cmd_evaluate(args) -> int:
     require_labels(notes, targets)
 
     token_lists = [tokenize(note.text) for note in notes]
+    dictionary = None
     if ckpt.kind == "cnn":
         require_tokens(notes, token_lists)
-        _, preds = cnn.predict_batch(ckpt.model, [ckpt.vocab.resolve(tokens) for tokens in token_lists])
-        name, columns = "cnn", {p: preds[:, trained.index(p)] for p in targets}
-    else:
-        pipeline = ckpt.pipeline
-        dictionary = None
-        if pipeline["features"] == "concepts":
-            if not args.dictionary:
-                raise DataError("concept-based checkpoints need --dictionary to featurize text")
-            dictionary = read_dictionary(args.dictionary)
-        counts = baselines.pipeline_counts(pipeline, token_lists, dictionary)
-        X = baselines.pipeline_vectors(pipeline, counts, ckpt.space)
-        probs = baselines.predict_proba(ckpt.kind, ckpt.model, X)
-        name, columns = pipeline["model"], {trained[0]: probs >= 0.5}
+    elif ckpt.pipeline["features"] == "concepts":
+        if not args.dictionary:
+            raise DataError("concept-based checkpoints need --dictionary to featurize text")
+        dictionary = read_dictionary(args.dictionary)
+    columns = predict_labels(ckpt, token_lists, dictionary)
+    name = "cnn" if ckpt.kind == "cnn" else ckpt.pipeline["model"]
 
     rows = [metrics.REPORT_HEADER]
     for phenotype in targets:
@@ -215,6 +210,8 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     head = phenotypes.index(args.phenotype)
     notes = read_notes(args.corpus)
+    if not notes:
+        raise DataError(f"corpus {args.corpus} is empty")
 
     if args.scope == "global":
         documents = [(n.note_id, tokenize(n.text)) for n in notes]

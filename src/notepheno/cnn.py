@@ -122,20 +122,6 @@ class BatchActivations:
 
 
 @dataclass
-class Activations:
-    """The forward pass of one note, cached for backprop and saliency."""
-
-    padded_ids: list[int]
-    embedded: np.ndarray  # (length, dim)
-    grids: dict[int, np.ndarray]  # width -> (positions, filters) post-activation
-    argmax: dict[int, np.ndarray]  # width -> (filters,) winning positions
-    pooled: np.ndarray  # (total filters,) pre-dropout
-    dropout_mask: np.ndarray | None  # (total filters,) keep mask, train mode only
-    dropped: np.ndarray  # (total filters,) vector fed to the output layer
-    probs: np.ndarray  # (heads,)
-
-
-@dataclass
 class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_f1: list[list[float | None]] = field(default_factory=list)
@@ -296,8 +282,8 @@ def forward(
     token_ids: list[int],
     train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> Activations:
-    """Run the network on one id sequence (a batch of one; see forward_batch).
+) -> BatchActivations:
+    """Run the network on one id sequence: forward_batch on a group of one.
 
     In train mode with dropout, the mask comes from one draw of total-filters
     uniforms from dropout_rng.
@@ -307,17 +293,7 @@ def forward(
         if dropout_rng is None:
             raise ValueError("train-mode forward with dropout needs a dropout_rng")
         draws = dropout_rng.random(model.total_filters)[None, :]
-    batch = forward_batch(model, [token_ids], draws)
-    return Activations(
-        padded_ids=batch.ids[0].tolist(),
-        embedded=batch.embedded[0],
-        grids={w: activate(model, g[0], w) for w, g in batch.grids.items()},
-        argmax={w: a[0] for w, a in batch.argmax.items()},
-        pooled=batch.pooled[0],
-        dropout_mask=None if batch.dropout_mask is None else batch.dropout_mask[0],
-        dropped=batch.dropped[0],
-        probs=batch.probs[0],
-    )
+    return forward_batch(model, [token_ids], draws)
 
 
 def _note_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -331,8 +307,9 @@ def _note_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean over heads of binary cross-entropy, with probabilities clamped."""
-    return float(_note_losses(probs, labels))
+    """Mean over notes and heads of binary cross-entropy, probabilities clamped;
+    probs is (heads,) or (notes, heads)."""
+    return float(np.mean(_note_losses(probs, labels)))
 
 
 def backward_batch(
@@ -400,26 +377,11 @@ def backward_batch(
 
 
 def backward(
-    model: CnnModel, acts: Activations, labels: np.ndarray
+    model: CnnModel, acts: BatchActivations, labels: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of loss() for one note (a batch of one; see backward_batch).
-
-    Embedding gradients accumulate only at token positions inside winning
-    windows; the PAD row's gradient is zero.
-    """
-    widths = model.config.filter_widths
-    batch = BatchActivations(
-        ids=np.asarray(acts.padded_ids, dtype=np.intp)[None, :],
-        lengths=np.array([len(acts.padded_ids)]),
-        embedded=acts.embedded[None],
-        grids={},  # backward_batch reads no grid
-        argmax={w: acts.argmax[w][None] for w in widths},
-        pooled=acts.pooled[None],
-        dropout_mask=None if acts.dropout_mask is None else acts.dropout_mask[None],
-        dropped=acts.dropped[None],
-        probs=acts.probs[None],
-    )
-    return backward_batch(model, batch, np.asarray(labels, dtype=float)[None, :])
+    """Analytic gradients of loss() for a one-note group, labels one (heads,)
+    row (see backward_batch)."""
+    return backward_batch(model, acts, np.asarray(labels, dtype=float)[None, :])
 
 
 def apply_max_norm(emb: EmbeddingMatrix, max_norm: float) -> EmbeddingMatrix:

@@ -7,6 +7,8 @@ import json
 import math
 import random
 import re
+import types
+import typing
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -118,6 +120,45 @@ def require_finite(cfg) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be a finite number, got {value}")
+
+
+def _has_type(value, annotation) -> bool:
+    """Whether a config value fits a field annotation (int, float, str, bool,
+    X | None, and list[X] / tuple[X, ...] given as a list or a tuple)."""
+    origin = typing.get_origin(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(annotation))
+    if origin in (list, tuple):
+        item = typing.get_args(annotation)[0]
+        return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
+    if annotation is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
+def _type_name(annotation) -> str:
+    origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_type_name(arg) for arg in args)
+    if origin in (list, tuple):
+        return f"a list of {_type_name(args[0])}"
+    return "null" if annotation is type(None) else annotation.__name__
+
+
+def check_types(cls, body: dict, where: str) -> None:
+    """ValueError naming the first field of body, the fields of a config
+    dataclass as parsed JSON, whose value does not fit its annotation."""
+    hints = typing.get_type_hints(cls)
+    for key, value in body.items():
+        if key in hints and not _has_type(value, hints[key]):
+            raise ValueError(
+                f"{where}{key} must be {_type_name(hints[key])}, got {json.dumps(value)}"
+            )
 
 
 @dataclass

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import types
-import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +21,7 @@ from .corpus import (
     Note,
     SplitSpec,
     build_vocabulary,
+    check_types,
     load_notes_jsonl,
     require_finite,
     split_dataset,
@@ -70,6 +69,25 @@ def score_predictions(preds, notes: list[Note], phenotype: str) -> metrics.Metri
     """PPV, sensitivity and F1 of 0/1 predictions against the notes' labels."""
     labels = [note.labels[phenotype] for note in notes]
     return metrics.metric_triple(metrics.confusion([int(p) for p in preds], labels))
+
+
+def predict_labels(
+    ckpt: checkpoint.Checkpoint, token_lists: list[list[str]], dictionary=None, counts=None
+) -> dict[str, np.ndarray]:
+    """0/1 labels of each token list for every phenotype of a trained model.
+
+    A CNN head labels positive at its config threshold (see cnn.classify), a
+    baseline at a probability of 0.5 or more. A baseline featurizes the
+    tokens through its pipeline (a concept pipeline needs the dictionary);
+    counts, the pipeline's counts of the same token lists, skips that step.
+    """
+    if ckpt.kind == "cnn":
+        _, labels = cnn.predict_batch(ckpt.model, [ckpt.vocab.resolve(t) for t in token_lists])
+        return {phenotype: labels[:, h] for h, phenotype in enumerate(ckpt.phenotypes)}
+    if counts is None:
+        counts = baselines.pipeline_counts(ckpt.pipeline, token_lists, dictionary)
+    X = baselines.pipeline_vectors(ckpt.pipeline, counts, ckpt.space)
+    return {ckpt.phenotypes[0]: baselines.predict_proba(ckpt.kind, ckpt.model, X) >= 0.5}
 
 
 def require_labels(notes: list[Note], phenotypes: list[str]):
@@ -174,65 +192,30 @@ _DERIVED_FIELDS = {
 }
 
 
-def _has_type(value, annotation) -> bool:
-    """Whether a config value fits a field annotation (int, float, str, bool,
-    X | None, and list[X] / tuple[X, ...] given as a list or a tuple)."""
-    origin = typing.get_origin(annotation)
-    if origin in (typing.Union, types.UnionType):
-        return any(_has_type(value, arg) for arg in typing.get_args(annotation))
-    if origin in (list, tuple):
-        item = typing.get_args(annotation)[0]
-        return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
-    if annotation is type(None):
-        return value is None
-    if isinstance(value, bool):
-        return annotation is bool
-    if annotation is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, annotation)
-
-
-def _type_name(annotation) -> str:
-    origin = typing.get_origin(annotation)
-    args = typing.get_args(annotation)
-    if origin in (typing.Union, types.UnionType):
-        return " or ".join(_type_name(arg) for arg in args)
-    if origin in (list, tuple):
-        return f"a list of {_type_name(args[0])}"
-    return "null" if annotation is type(None) else annotation.__name__
-
-
-def _check_types(cls, body: dict, where: str):
-    """ConfigError naming the first field of body whose value has the wrong type."""
-    hints = typing.get_type_hints(cls)
-    for key, value in body.items():
-        if key in hints and not _has_type(value, hints[key]):
-            raise ConfigError(
-                f"{where}{key} must be {_type_name(hints[key])}, got {json.dumps(value)}"
-            )
-
-
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in data.items() if k not in _SECTION_TYPES}
-    _check_types(ExperimentConfig, kwargs, "")
-    for section, cls in _SECTION_TYPES.items():
-        if section in data:
-            if not isinstance(data[section], dict):
-                raise ConfigError(f"config section {section!r} must be a JSON object")
-            body = data[section]
-            _check_types(cls, body, f"{section}.")
-            for key in body:
-                if (section, key) in _DERIVED_FIELDS:
-                    raise ConfigError(
-                        f"{section}.{key} cannot be set: {_DERIVED_FIELDS[section, key]}"
-                    )
-            try:
-                kwargs[section] = cls(**body)
-            except TypeError as exc:
-                raise ConfigError(f"bad {section} section: {exc}") from exc
+    try:
+        check_types(ExperimentConfig, kwargs, "")
+        for section, cls in _SECTION_TYPES.items():
+            if section in data:
+                if not isinstance(data[section], dict):
+                    raise ConfigError(f"config section {section!r} must be a JSON object")
+                body = data[section]
+                check_types(cls, body, f"{section}.")
+                for key in body:
+                    if (section, key) in _DERIVED_FIELDS:
+                        raise ConfigError(
+                            f"{section}.{key} cannot be set: {_DERIVED_FIELDS[section, key]}"
+                        )
+                try:
+                    kwargs[section] = cls(**body)
+                except TypeError as exc:
+                    raise ConfigError(f"bad {section} section: {exc}") from exc
+    except ValueError as exc:  # a field of the wrong type
+        raise ConfigError(str(exc)) from exc
     try:
         config = ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -259,7 +242,6 @@ class ExperimentResult:
     metrics: dict[tuple[str, str], metrics.MetricTriple]
     paths: dict[str, Path]
     split_hash: str
-    histories: dict[str, cnn.TrainHistory] = field(default_factory=dict)
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -288,6 +270,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
 
     split_spec = replace(config.split, seed=derive_seed(config.seed, "split"))
     train_notes, val_notes, test_notes = split_dataset(notes, split_spec)
+    if not test_notes:
+        raise DataError(
+            f"the split of {len(notes)} notes is {len(train_notes)} train / {len(val_notes)} val / "
+            f"{len(test_notes)} test; there are no test notes to score the models on"
+        )
     split_hash = write_split_manifest(out_dir / "split", train_notes, val_notes, test_notes)
     say(f"split: {len(train_notes)} train / {len(val_notes)} val / {len(test_notes)} test")
 
@@ -357,19 +344,10 @@ def _run_cnn(
             return pairs
 
         say(f"training cnn [{tag}] on {len(train_notes)} notes")
-        model, history = cnn.train(model, data_for(train_notes), data_for(val_notes))
-        result.histories[f"cnn:{tag}"] = history
-        ckpt = out_dir / "checkpoints" / f"cnn__{tag}.json"
-        checkpoint.save_cnn(model, vocab, heads, ckpt)
-        result.paths[f"cnn:{tag}"] = ckpt
-
-        _, labels = cnn.predict_batch(
-            model, [vocab.resolve(tokens_by_id[note.note_id]) for note in test_notes]
-        )
-        for h, phenotype in enumerate(heads):
-            result.metrics[(phenotype, "cnn")] = score_predictions(
-                labels[:, h], test_notes, phenotype
-            )
+        model, _ = cnn.train(model, data_for(train_notes), data_for(val_notes))
+        trained = checkpoint.Checkpoint("cnn", model, heads, vocab=vocab)
+        test_tokens = [tokens_by_id[note.note_id] for note in test_notes]
+        _save_and_score(trained, "cnn", tag, test_tokens, test_notes, out_dir, result)
 
 
 def _run_baseline(
@@ -406,14 +384,19 @@ def _run_baseline(
             n_features_per_split=config.baselines.rf_n_features_per_split,
             seed=seed,
         )
-    ckpt = out_dir / "checkpoints" / f"{name}__{phenotype}.json"
-    checkpoint.save_baseline(kind, model, space, pipeline, ckpt)
-    result.paths[f"{name}:{phenotype}"] = ckpt
+    trained = checkpoint.Checkpoint(kind, model, [phenotype], space=space, pipeline=pipeline)
+    test_tokens = token_lists[len(train_notes) :]
+    _save_and_score(trained, name, phenotype, test_tokens, test_notes, out_dir, result, test_counts)
 
-    probs = baselines.predict_proba(
-        kind, model, baselines.pipeline_vectors(pipeline, test_counts, space)
-    )
-    result.metrics[(phenotype, name)] = score_predictions(probs >= 0.5, test_notes, phenotype)
+
+def _save_and_score(trained, name, tag, test_tokens, test_notes, out_dir, result, counts=None):
+    """Save a freshly trained model as checkpoints/<name>__<tag>.json and score
+    it on the test notes, one metrics row per phenotype it predicts."""
+    path = out_dir / "checkpoints" / f"{name}__{tag}.json"
+    checkpoint.save(trained, path)
+    result.paths[f"{name}:{tag}"] = path
+    for phenotype, labels in predict_labels(trained, test_tokens, counts=counts).items():
+        result.metrics[(phenotype, name)] = score_predictions(labels, test_notes, phenotype)
 
 
 def _pct(value: float | None) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnn import BatchActivations, CnnModel, activate, classify, forward_batch, forward_groups
+from .cnn import BatchActivations, CnnModel, activate, classify, forward, forward_groups
 from .corpus import PAD_TOKEN, Vocabulary
 
 VARIANTS = ("weighted", "norm")
@@ -138,7 +138,7 @@ def phrase_scores(
     variant is the L2 norm across the same-width filters' activations at the
     window, regardless of pooling.
     """
-    acts = forward_batch(model, [vocab.resolve(tokens)])
+    acts = forward(model, vocab.resolve(tokens))
     return _note_scores(acts, _window_values(model, acts, variant, head), 0, tokens, note_id)
 
 
@@ -203,7 +203,7 @@ def local_salient_phrases(
     """Top-k deduplicated phrases of a single document, whatever its prediction."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    acts = forward_batch(model, [vocab.resolve(tokens)])
+    acts = forward(model, vocab.resolve(tokens))
     _, labels = classify(model, acts.probs)
     flagged = bool(labels[0, head] != 1)
     if flagged:

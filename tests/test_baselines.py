@@ -209,7 +209,7 @@ class TestCheckpoints:
         model = train_logreg(X, y, l2_lambda=0.5)
         path = tmp_path / "lr.json"
         pipeline = {"model": "2gram-lr", "phenotype": "p", "features": "ngram", "n": 2, "tfidf": False}
-        checkpoint.save_baseline("logreg", model, space, pipeline, path)
+        checkpoint.save(checkpoint.Checkpoint("logreg", model, ["p"], space=space, pipeline=pipeline), path)
         loaded = checkpoint.load(path)
         assert loaded.kind == "logreg" and loaded.pipeline == pipeline and loaded.phenotypes == ["p"]
         assert loaded.space.feature_to_index == space.feature_to_index
@@ -222,7 +222,7 @@ class TestCheckpoints:
         path = tmp_path / "rf.json"
         pipeline = {"model": "ctakes-rf", "phenotype": "p", "features": "concepts",
                     "filtered": False, "tfidf": True}
-        checkpoint.save_baseline("random_forest", forest, space, pipeline, path)
+        checkpoint.save(checkpoint.Checkpoint("random_forest", forest, ["p"], space=space, pipeline=pipeline), path)
         loaded = checkpoint.load(path)
         assert loaded.kind == "random_forest"
         assert forest_arrays(loaded.model) == forest_arrays(forest)
@@ -235,7 +235,8 @@ class TestCheckpoints:
         assert len(forest.feature) == 2 * len(y) - 1  # a split per row but the last
         space = fit_feature_space([{("cui", False): 1}])
         path = tmp_path / "rf.json"
-        checkpoint.save_baseline("random_forest", forest, space, pipeline_record("ctakes-rf", "p"), path)
+        checkpoint.save(checkpoint.Checkpoint("random_forest", forest, ["p"], space=space,
+                                              pipeline=pipeline_record("ctakes-rf", "p")), path)
         loaded = checkpoint.load(path).model
         assert forest_arrays(loaded) == forest_arrays(forest)
         assert (predict_proba("random_forest", loaded, X) >= 0.5).astype(int).tolist() == y
@@ -244,8 +245,8 @@ class TestCheckpoints:
         X, y = random_dataset(6, n=40, d=3)
         space = fit_feature_space([{("cui", True): 1, ("cui", False): 2, ("cui2", False): 1}])
         path = tmp_path / "rf.json"
-        checkpoint.save_baseline("random_forest", train_rf(X, y, n_trees=2, seed=2), space,
-                                 pipeline_record("ctakes-rf", "p"), path)
+        checkpoint.save(checkpoint.Checkpoint("random_forest", train_rf(X, y, n_trees=2, seed=2), ["p"],
+                                              space=space, pipeline=pipeline_record("ctakes-rf", "p")), path)
         doc = json.loads(path.read_text())
         doc["format_version"] = 1
         doc["model"] = {"trees": [oracle._tree_to_json(t) for t in oracle.grow_forest(X, y, 2, seed=2)],
@@ -257,8 +258,9 @@ class TestCheckpoints:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         space = fit_feature_space([{"a": 1}])
-        with pytest.raises(ValueError, match="unknown baseline kind"):
-            checkpoint.save_baseline("svm", LinearModel(np.zeros(1), 0.0, 1.0), space, {}, path)
+        with pytest.raises(ValueError, match="unknown checkpoint kind 'svm'"):
+            checkpoint.save(checkpoint.Checkpoint("svm", LinearModel(np.zeros(1), 0.0, 1.0), ["p"],
+                                                  space=space, pipeline={}), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["logreg", "random_forest"])
@@ -270,9 +272,9 @@ class TestCheckpoints:
         else:
             model, name = train_rf(X, y, n_trees=5, max_depth=4, seed=2), "ctakes-rf"
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        checkpoint.save_baseline(kind, model, space, pipeline_record(name, "p"), p1)
-        loaded = checkpoint.load(p1)
-        checkpoint.save_baseline(loaded.kind, loaded.model, loaded.space, loaded.pipeline, p2)
+        checkpoint.save(checkpoint.Checkpoint(kind, model, ["p"], space=space,
+                                              pipeline=pipeline_record(name, "p")), p1)
+        checkpoint.save(checkpoint.load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 

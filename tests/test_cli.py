@@ -287,7 +287,7 @@ class TestExplainCommand:
         model.output_weights[:] = 0.0
         model.output_bias[:] = 0.0
         zero_ckpt = tmp_path / "zero.json"
-        checkpoint.save_cnn(model, loaded.vocab, loaded.phenotypes, zero_ckpt)
+        checkpoint.save(loaded, zero_ckpt)
         with pytest.warns(UserWarning, match="zero"):
             code = main(["explain", "--checkpoint", str(zero_ckpt),
                          "--corpus", str(workspace["paths"]["labeled"]),
@@ -437,9 +437,15 @@ def _cnn_argv(workspace, command, ckpt, tmp_path) -> list[str]:
             "--phenotype", "pheno0", "--out", str(tmp_path / "r")]
 
 
+def _first_notes(workspace, tmp_path, n) -> str:
+    """A corpus of the workspace's first n labeled notes."""
+    lines = workspace["paths"]["labeled"].read_text().splitlines(keepends=True)
+    return _written(tmp_path, "first.jsonl", "".join(lines[:n]))
+
+
 # CNN checkpoints whose arrays or phenotypes do not fit the model's config,
-# vocabulary (one embedding row per token) and heads, or whose arrays hold a
-# null (read as NaN).
+# vocabulary (one embedding row per token) and heads, whose arrays hold a
+# null (read as NaN), or whose config fields have the wrong type.
 _BAD_CNN_CHECKPOINTS = {
     "embeddings-3-rows": lambda doc: doc["params"].update(embeddings=doc["params"]["embeddings"][:3]),
     "filters-2-of-8": lambda doc: doc["params"]["conv_weights"].update({"2": doc["params"]["conv_weights"]["2"][:2]}),
@@ -450,6 +456,9 @@ _BAD_CNN_CHECKPOINTS = {
     "phenotypes-2-heads": lambda doc: doc.update(phenotypes=["pheno0", "x"]),
     "phenotypes-string": lambda doc: doc.update(phenotypes="pheno0"),
     "output-bias-null": lambda doc: doc["params"].update(output_bias=[None]),
+    "config-filters-float": lambda doc: doc["config"].update(filters_per_width=8.0),
+    "config-heads-float": lambda doc: doc["config"].update(n_heads=1.0),
+    "config-epochs-float": lambda doc: doc["config"].update(epochs=2.5),
 }
 _BAD_RECORDS = {"list-record": "[1, 2]", "int-text": '{"note_id": "a", "text": 5, "labels": {"pheno0": 1}}',
                 "list-labels": '{"note_id": "a", "text": "x", "labels": [1]}'}
@@ -519,6 +528,8 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
               "non-integer-index": _as_forest(left=[1.5, -1, -1]),
               "root-out-of-range": _as_forest(roots=[3]),
               "v1-nested-trees": _as_v1_forest,
+              "threshold-nan": _as_forest(threshold=[float("nan"), 0.0, 0.0]),
+              "fraction-above-one": _as_forest(fraction=[0.0, 0.0, 7.0]),
           }.items()],
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "2gram-lr__pheno0.json",
@@ -531,6 +542,13 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["model"]["weights"].__setitem__(0, None))), 4,
             id="logreg-weight-null"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["model"].update(bias=float("nan")))), 4,
+            id="logreg-bias-nan"),
+        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
+            ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"]["idf"].__setitem__(0, float("nan"))),
+            "--dictionary", str(ws["paths"]["dictionary"])), 4,
+            id="space-idf-nan"),
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"].update(idf=[])),
             "--dictionary", str(ws["paths"]["dictionary"])), 4,
@@ -575,6 +593,13 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
         pytest.param(lambda ws, tmp: ["split", "--corpus", _written(tmp, "empty.jsonl", ""),
                                       "--out", str(tmp / "split")], 3,
                      id="split-empty-corpus"),
+        *[pytest.param(lambda ws, tmp, scope=scope: [
+            "explain", "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json")),
+            "--corpus", _written(tmp, "empty.jsonl", ""), "--phenotype", "pheno0",
+            "--scope", scope, "--out", str(tmp / "r")], 3,
+            id=f"explain-{scope}-empty-corpus") for scope in ("global", "local")],
+        pytest.param(lambda ws, tmp: _experiment_argv(ws, tmp, labeled_path=_first_notes(ws, tmp, 4)), 3,
+                     id="run-experiment-empty-test-split"),
         pytest.param(lambda ws, tmp: ["run-experiment", "--config", str(tmp)], 2, id="config-directory"),
         pytest.param(lambda ws, tmp: ["run-experiment", "--config", _written(tmp, "c.json", b"\xff\xfe")], 2,
                      id="config-not-utf8"),

@@ -6,6 +6,7 @@ import pytest
 
 from notepheno.cnn import (
     CnnConfig,
+    activate,
     backward,
     forward,
     init_model,
@@ -75,17 +76,17 @@ class TestForward:
     def test_short_input_padded_to_max_width(self):
         model = tiny_model(widths=(2, 5), filters=2)
         acts = forward(model, [3])
-        assert acts.padded_ids == [3, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
-        assert acts.grids[5].shape[0] == 1  # width-5 bank sees exactly one position
-        assert acts.grids[2].shape[0] == 4
+        assert acts.ids[0].tolist() == [3, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
+        assert acts.grids[5].shape[1] == 1  # width-5 bank sees exactly one position
+        assert acts.grids[2].shape[1] == 4
 
     def test_pooled_equals_max_over_positions(self):
         model = tiny_model()
         acts = forward(model, [2, 3, 4, 5, 6])
         nf = model.config.filters_per_width
         for k, w in enumerate(model.config.filter_widths):
-            seg = acts.pooled[k * nf : (k + 1) * nf]
-            np.testing.assert_array_equal(seg, acts.grids[w].max(axis=0))
+            seg = acts.pooled[0, k * nf : (k + 1) * nf]
+            np.testing.assert_array_equal(seg, activate(model, acts.grids[w][0], w).max(axis=0))
 
     def test_planted_filter_prefers_its_phrase(self):
         vocab = build_vocabulary([["alcohol", "abuse", "pt", "denies", "heavy", "use"]], 1)
@@ -112,10 +113,10 @@ class TestForward:
                 best = max(best, math.tanh(float(np.sum(window * model.conv_weights[2][0]))))
             return best
 
-        pooled_with = forward(model, with_phrase).pooled[0]
+        pooled_with = forward(model, with_phrase).pooled[0, 0]
         assert pooled_with == pytest.approx(brute_force_pooled(with_phrase))
         for ids in others:
-            pooled_other = forward(model, ids).pooled[0]
+            pooled_other = forward(model, ids).pooled[0, 0]
             assert pooled_other == pytest.approx(brute_force_pooled(ids))
             assert pooled_with > pooled_other
 
@@ -255,7 +256,7 @@ class TestBackward:
         model = tiny_model(widths=(2,), filters=3, dropout_p=0.5)
         # keep filters 0 and 2, drop filter 1
         acts = forward(model, [2, 3, 4], train_mode=True, dropout_rng=FixedRng([0.9, 0.1, 0.9]))
-        assert acts.dropout_mask.tolist() == [1.0, 0.0, 1.0]
+        assert acts.dropout_mask[0].tolist() == [1.0, 0.0, 1.0]
         grads = backward(model, acts, np.array([1.0]))
         np.testing.assert_array_equal(grads["conv_w2"][1], 0.0)
         assert grads["conv_b2"][1] == 0.0
@@ -266,7 +267,7 @@ class TestBackward:
         ids = [2, 3, 4, 5, 6]
         acts = forward(model, ids)
         grads = backward(model, acts, np.array([1.0]))
-        start = int(acts.argmax[2][0])
+        start = int(acts.argmax[2][0, 0])
         winners = set(ids[start : start + 2])
         for token_id in set(ids) - winners:
             np.testing.assert_array_equal(grads["embeddings"][token_id], 0.0)
@@ -394,7 +395,7 @@ class TestCheckpoint:
         vocab = build_vocabulary([["alcohol", "abuse", "pt", "denies"]], 1)
         model = tiny_model(vocab_size=len(vocab), n_heads=2)
         path = tmp_path / "model.json"
-        checkpoint.save_cnn(model, vocab, ["alcohol_abuse", "depression"], path)
+        checkpoint.save(checkpoint.Checkpoint("cnn", model, ["alcohol_abuse", "depression"], vocab=vocab), path)
         loaded = checkpoint.load(path)
         assert loaded.kind == "cnn" and loaded.phenotypes == ["alcohol_abuse", "depression"]
         assert loaded.vocab.id_to_token == vocab.id_to_token
@@ -405,9 +406,8 @@ class TestCheckpoint:
         vocab = build_vocabulary([["a", "b", "c"]], 1)
         model = tiny_model(vocab_size=len(vocab))
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        checkpoint.save_cnn(model, vocab, ["p"], p1)
-        loaded = checkpoint.load(p1)
-        checkpoint.save_cnn(loaded.model, loaded.vocab, loaded.phenotypes, p2)
+        checkpoint.save(checkpoint.Checkpoint("cnn", model, ["p"], vocab=vocab), p1)
+        checkpoint.save(checkpoint.load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -34,7 +34,7 @@ def planted():
 
     # calibrate: logit positive only above the best non-phrase activation
     def pooled(tokens):
-        return forward(model, vocab.resolve(tokens)).pooled[0]
+        return forward(model, vocab.resolve(tokens)).pooled[0, 0]
 
     on = pooled(["pt", "alcohol", "abuse", "use"])
     off = max(
