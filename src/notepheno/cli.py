@@ -58,9 +58,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    notes = read_notes(args.corpus)
-    corpus = [tokenize(n.text) for n in notes]
-    vocab = build_vocabulary(corpus, min_count=args.min_count)
     cfg = PretrainConfig(
         dim=args.dim,
         window=args.window,
@@ -73,6 +70,13 @@ def cmd_pretrain(args) -> int:
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.min_count < 1:
+        raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
+    notes = read_notes(args.corpus)
+    if not notes:
+        raise DataError(f"corpus {args.corpus} is empty")
+    corpus = [tokenize(n.text) for n in notes]
+    vocab = build_vocabulary(corpus, min_count=args.min_count)
     emb = pretrain_embeddings(corpus, vocab, cfg)
     save_embeddings(emb, vocab, args.out)
     print(f"embeddings: {args.out} ({len(vocab)} tokens, dim {cfg.dim})")

@@ -20,6 +20,7 @@ from . import baselines, checkpoint, cnn, concepts, featurize, metrics
 from .corpus import (
     Note,
     SplitSpec,
+    Vocabulary,
     build_vocabulary,
     check_types,
     load_notes_jsonl,
@@ -147,6 +148,17 @@ class ExperimentConfig:
     def validate(self):
         if not self.phenotypes:
             raise ConfigError("at least one phenotype is required")
+        for i, name in enumerate(self.phenotypes):
+            # each name is part of a checkpoint file name and of a CSV row
+            if not name or any(c in name for c in "/\\,\0") or name.splitlines() != [name]:
+                raise ConfigError(
+                    f"phenotype name {name!r} must be non-empty and hold no '/', '\\', ',', "
+                    "line break or NUL"
+                )
+            if name in self.phenotypes[:i]:
+                raise ConfigError(f"phenotype {name!r} is listed twice")
+        if self.vocab_min_count < 1:
+            raise ConfigError(f"vocab_min_count must be >= 1, got {self.vocab_min_count}")
         if not self.models:
             raise ConfigError("at least one model is required")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
@@ -244,10 +256,102 @@ class ExperimentResult:
     split_hash: str
 
 
+@dataclass(frozen=True)
+class Job:
+    """One fit: a model, the phenotypes it predicts, its tag, and its seed and seed name."""
+
+    model: str
+    phenotypes: tuple[str, ...]
+    tag: str
+    seed_name: str
+    seed: int
+
+
+def plan(config: ExperimentConfig) -> list[Job]:
+    """Every fit of a run in config.models order, then phenotype order. A job
+    fits one phenotype, except a --multilabel CNN's, tagged multilabel."""
+    jobs = []
+    for model in config.models:
+        joint = model == "cnn" and config.multilabel and len(config.phenotypes) > 1
+        for heads in [tuple(config.phenotypes)] if joint else [(p,) for p in config.phenotypes]:
+            tag = "multilabel" if joint else heads[0]
+            seed_name = f"train:{model}:{tag}"
+            jobs.append(Job(model, heads, tag, seed_name, derive_seed(config.seed, seed_name)))
+    return jobs
+
+
+@dataclass(frozen=True)
+class Shared:
+    """What every job reads, all of it computed before the first fit."""
+
+    config: ExperimentConfig
+    split: tuple[list[Note], list[Note], list[Note]]  # train, val, test
+    tokens: dict[str, list[str]]  # note id -> tokens
+    vocab: Vocabulary
+    embeddings: np.ndarray | None
+    counts: dict[tuple, list[dict]]  # _counts_key -> counts of the train, then test notes
+
+
+def _counts_key(job: Job) -> tuple:
+    """What a baseline's counts depend on: the feature kind, n, and the
+    phenotype only when the pipeline filters the dictionary by it."""
+    spec = baselines.MODELS[job.model][1]
+    return spec["features"], spec.get("n"), job.phenotypes[0] if spec.get("filtered") else None
+
+
+def run_job(job: Job, shared: Shared) -> tuple[checkpoint.Checkpoint, dict]:
+    """Train the job's model on the train split and score it on the test split.
+
+    Returns the trained model and its metrics, keyed (phenotype, model).
+    """
+    train_notes, val_notes, test_notes = shared.split
+    heads = list(job.phenotypes)
+    test_counts = None
+    if job.model == "cnn":
+        def data_for(notes):
+            return [
+                (shared.vocab.resolve(shared.tokens[n.note_id]),
+                 np.array([n.labels[p] for p in heads], dtype=float))
+                for n in notes
+            ]
+
+        cfg = replace(shared.config.cnn, n_heads=len(heads), seed=job.seed)
+        model, _ = cnn.train(
+            cnn.init_model(cfg, shared.embeddings), data_for(train_notes), data_for(val_notes)
+        )
+        trained = checkpoint.Checkpoint("cnn", model, heads, vocab=shared.vocab)
+    else:
+        kind = baselines.MODELS[job.model][0]
+        phenotype = heads[0]
+        pipeline = baselines.pipeline_record(job.model, phenotype)
+        counts = shared.counts[_counts_key(job)]
+        train_counts, test_counts = counts[: len(train_notes)], counts[len(train_notes) :]
+        space = featurize.fit_feature_space(train_counts)
+        X_train = baselines.pipeline_vectors(pipeline, train_counts, space)
+        y = [note.labels[phenotype] for note in train_notes]
+        cfg = shared.config.baselines
+        if kind == "logreg":
+            model = baselines.train_logreg(X_train, y, l2_lambda=cfg.logreg_l2_lambda)
+        else:
+            model = baselines.train_rf(
+                X_train, y,
+                n_trees=cfg.rf_n_trees,
+                max_depth=cfg.rf_max_depth,
+                n_features_per_split=cfg.rf_n_features_per_split,
+                seed=job.seed,
+            )
+        trained = checkpoint.Checkpoint(kind, model, heads, space=space, pipeline=pipeline)
+    test_tokens = [shared.tokens[note.note_id] for note in test_notes]
+    labels = predict_labels(trained, test_tokens, counts=test_counts)
+    rows = {(p, job.model): score_predictions(labels[p], test_notes, p) for p in heads}
+    return trained, rows
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run the full protocol described by the config; returns metrics and paths.
 
-    progress, when given, is called with one status string per stage.
+    Every input of the jobs is computed before the first job runs. progress,
+    when given, is called with one status string per stage.
     """
     config.validate()
     say = progress or (lambda msg: None)
@@ -281,175 +385,81 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     tokens_by_id = {n.note_id: tokenize(n.text) for n in notes}
     if "cnn" in config.models:
         require_tokens(notes, [tokens_by_id[n.note_id] for n in notes])
-    for n in unlabeled:
-        tokens_by_id[n.note_id] = tokenize(n.text)
-
-    vocab_corpus = [tokens_by_id[n.note_id] for n in unlabeled]
-    vocab_corpus += [tokens_by_id[n.note_id] for n in train_notes]
+    unlabeled_tokens = [tokenize(n.text) for n in unlabeled]
+    vocab_corpus = unlabeled_tokens + [tokens_by_id[n.note_id] for n in train_notes]
     vocab = build_vocabulary(vocab_corpus, min_count=config.vocab_min_count)
     with open(out_dir / "vocab.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(vocab.to_dict(), sort_keys=True) + "\n")
 
-    result = ExperimentResult(metrics={}, paths={"output_dir": out_dir}, split_hash=split_hash)
     derived_seeds: dict[str, int] = {"split": split_spec.seed}
-
+    emb = None
     if "cnn" in config.models:
-        _run_cnn(
-            config, vocab, tokens_by_id, unlabeled, train_notes, val_notes, test_notes,
-            out_dir, derived_seeds, result, say,
-        )
-    concept_counts: dict[tuple[bool, str | None], list[dict]] = {}
-    for name in config.models:
-        if name in baselines.MODELS:
-            for phenotype in config.phenotypes:
-                _run_baseline(
-                    config, name, phenotype, dictionary, tokens_by_id, train_notes,
-                    test_notes, out_dir, derived_seeds, result, say, concept_counts,
-                )
+        pretrain_cfg = replace(config.pretrain, seed=derive_seed(config.seed, "pretrain"))
+        derived_seeds["pretrain"] = pretrain_cfg.seed
+        if unlabeled and pretrain_cfg.epochs > 0:
+            say(f"pretraining embeddings on {len(unlabeled)} unlabeled notes")
+            emb = pretrain_embeddings(unlabeled_tokens, vocab, pretrain_cfg)
+        else:
+            emb = init_embeddings(len(vocab), pretrain_cfg.dim, pretrain_cfg.seed)
+        save_embeddings(emb, vocab, out_dir / "embeddings.txt")
 
-    _write_reports(config, result, split_hash, derived_seeds, out_dir)
+    jobs = plan(config)
+    scored = [tokens_by_id[n.note_id] for n in train_notes + test_notes]
+    counts: dict[tuple, list[dict]] = {}
+    for job in jobs:
+        if job.model in baselines.MODELS and _counts_key(job) not in counts:
+            pipeline = baselines.pipeline_record(job.model, job.phenotypes[0])
+            counts[_counts_key(job)] = baselines.pipeline_counts(pipeline, scored, dictionary)
+    shared = Shared(config, (train_notes, val_notes, test_notes), tokens_by_id, vocab, emb, counts)
+
+    result = ExperimentResult(metrics={}, paths={"output_dir": out_dir}, split_hash=split_hash)
+    for job in jobs:
+        if job.model == "cnn":
+            say(f"training cnn [{job.tag}] on {len(train_notes)} notes")
+        else:
+            say(f"training {job.model} [{job.tag}]")
+        trained, rows = run_job(job, shared)
+        path = out_dir / "checkpoints" / f"{job.model}__{job.tag}.json"
+        checkpoint.save(trained, path)
+        result.paths[f"{job.model}:{job.tag}"] = path
+        result.metrics.update(rows)
+        derived_seeds[job.seed_name] = job.seed
+
+    _write_reports(config, result, derived_seeds)
     return result
 
 
-def _run_cnn(
-    config, vocab, tokens_by_id, unlabeled, train_notes, val_notes, test_notes,
-    out_dir, derived_seeds, result, say,
-):
-    pretrain_cfg = replace(config.pretrain, seed=derive_seed(config.seed, "pretrain"))
-    derived_seeds["pretrain"] = pretrain_cfg.seed
-    if unlabeled and pretrain_cfg.epochs > 0:
-        say(f"pretraining embeddings on {len(unlabeled)} unlabeled notes")
-        emb = pretrain_embeddings(
-            [tokens_by_id[n.note_id] for n in unlabeled], vocab, pretrain_cfg
-        )
-    else:
-        emb = init_embeddings(len(vocab), pretrain_cfg.dim, pretrain_cfg.seed)
-    save_embeddings(emb, vocab, out_dir / "embeddings.txt")
-
-    head_sets = (
-        [list(config.phenotypes)] if config.multilabel else [[p] for p in config.phenotypes]
-    )
-    for heads in head_sets:
-        tag = "multilabel" if len(heads) > 1 else heads[0]
-        seed = derive_seed(config.seed, f"train:cnn:{tag}")
-        derived_seeds[f"train:cnn:{tag}"] = seed
-        model = cnn.init_model(replace(config.cnn, n_heads=len(heads), seed=seed), emb)
-
-        def data_for(split_notes):
-            pairs = []
-            for note in split_notes:
-                ids = vocab.resolve(tokens_by_id[note.note_id])
-                labels = np.array([note.labels[p] for p in heads], dtype=float)
-                pairs.append((ids, labels))
-            return pairs
-
-        say(f"training cnn [{tag}] on {len(train_notes)} notes")
-        model, _ = cnn.train(model, data_for(train_notes), data_for(val_notes))
-        trained = checkpoint.Checkpoint("cnn", model, heads, vocab=vocab)
-        test_tokens = [tokens_by_id[note.note_id] for note in test_notes]
-        _save_and_score(trained, "cnn", tag, test_tokens, test_notes, out_dir, result)
-
-
-def _run_baseline(
-    config, name, phenotype, dictionary, tokens_by_id, train_notes, test_notes,
-    out_dir, derived_seeds, result, say, concept_counts,
-):
-    """Train, save and score one baseline. concept_counts maps (filtered,
-    phenotype, or None when unfiltered) to the concept counts of the train
-    and test notes, so each concept pipeline matches the notes once."""
-    kind = baselines.MODELS[name][0]
-    pipeline = baselines.pipeline_record(name, phenotype)
-    token_lists = [tokens_by_id[note.note_id] for note in train_notes + test_notes]
-    if pipeline["features"] == "concepts":
-        key = (pipeline["filtered"], phenotype if pipeline["filtered"] else None)
-        if key not in concept_counts:
-            concept_counts[key] = baselines.pipeline_counts(pipeline, token_lists, dictionary)
-        counts = concept_counts[key]
-    else:
-        counts = baselines.pipeline_counts(pipeline, token_lists, dictionary)
-    train_counts, test_counts = counts[: len(train_notes)], counts[len(train_notes) :]
-    space = featurize.fit_feature_space(train_counts)
-    X_train = baselines.pipeline_vectors(pipeline, train_counts, space)
-    y = [note.labels[phenotype] for note in train_notes]
-    seed = derive_seed(config.seed, f"train:{name}:{phenotype}")
-    derived_seeds[f"train:{name}:{phenotype}"] = seed
-    say(f"training {name} [{phenotype}]")
-    if kind == "logreg":
-        model = baselines.train_logreg(X_train, y, l2_lambda=config.baselines.logreg_l2_lambda)
-    else:
-        model = baselines.train_rf(
-            X_train, y,
-            n_trees=config.baselines.rf_n_trees,
-            max_depth=config.baselines.rf_max_depth,
-            n_features_per_split=config.baselines.rf_n_features_per_split,
-            seed=seed,
-        )
-    trained = checkpoint.Checkpoint(kind, model, [phenotype], space=space, pipeline=pipeline)
-    test_tokens = token_lists[len(train_notes) :]
-    _save_and_score(trained, name, phenotype, test_tokens, test_notes, out_dir, result, test_counts)
-
-
-def _save_and_score(trained, name, tag, test_tokens, test_notes, out_dir, result, counts=None):
-    """Save a freshly trained model as checkpoints/<name>__<tag>.json and score
-    it on the test notes, one metrics row per phenotype it predicts."""
-    path = out_dir / "checkpoints" / f"{name}__{tag}.json"
-    checkpoint.save(trained, path)
-    result.paths[f"{name}:{tag}"] = path
-    for phenotype, labels in predict_labels(trained, test_tokens, counts=counts).items():
-        result.metrics[(phenotype, name)] = score_predictions(labels, test_notes, phenotype)
-
-
-def _pct(value: float | None) -> str:
-    return "NA" if value is None else str(round(value * 100))
-
-
-def _report_header(config, split_hash) -> list[str]:
-    """Comment lines embedding the resolved config (minus environment paths,
-    which would tie report bytes to where outputs land) and format version."""
-    semantic = asdict(config)
-    for key in ("labeled_path", "unlabeled_path", "dictionary_path", "output_dir"):
-        semantic.pop(key, None)
-    return [
+def _write_reports(config, result, derived_seeds):
+    resolved = asdict(config)
+    # the report header leaves out the environment paths, which would tie
+    # report bytes to where the outputs land
+    paths = ("labeled_path", "unlabeled_path", "dictionary_path", "output_dir")
+    semantic = {key: value for key, value in resolved.items() if key not in paths}
+    header = [
         f"# format_version: {REPORT_FORMAT_VERSION}",
-        f"# split_manifest_sha256: {split_hash}",
+        f"# split_manifest_sha256: {result.split_hash}",
         f"# config: {json.dumps(semantic, sort_keys=True)}",
     ]
-
-
-def _write_reports(config, result, split_hash, derived_seeds, out_dir):
-    header = _report_header(config, split_hash)
-    lines = header + [metrics.REPORT_HEADER]
-    for phenotype in config.phenotypes:
-        for model in config.models:
-            triple = result.metrics.get((phenotype, model))
-            if triple is None:
-                continue
-            lines.append(metrics.report_row(phenotype, model, triple))
-    metrics_path = out_dir / "reports" / "metrics.csv"
-    metrics_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result.paths["metrics"] = metrics_path
-
-    f1_lines = header + ["phenotype," + ",".join(config.models)]
-    for phenotype in config.phenotypes:
-        cells = [
-            _pct(result.metrics[(phenotype, model)].f1)
-            if (phenotype, model) in result.metrics
-            else "NA"
-            for model in config.models
-        ]
-        f1_lines.append(phenotype + "," + ",".join(cells))
-    f1_path = out_dir / "reports" / "f1_comparison.csv"
-    f1_path.write_text("\n".join(f1_lines) + "\n", encoding="utf-8")
-    result.paths["f1_comparison"] = f1_path
-
+    rows = [metrics.REPORT_HEADER] + [
+        metrics.report_row(phenotype, model, result.metrics[phenotype, model])
+        for phenotype in config.phenotypes
+        for model in config.models
+    ]
+    f1_rows = ["phenotype," + ",".join(config.models)] + [
+        ",".join([p] + [metrics._fmt(result.metrics[p, m].f1, True) for m in config.models])
+        for p in config.phenotypes
+    ]
     echo = {
         "format_version": REPORT_FORMAT_VERSION,
-        "config": asdict(config),
+        "config": resolved,
         "derived_seeds": derived_seeds,
-        "split_manifest_sha256": split_hash,
+        "split_manifest_sha256": result.split_hash,
     }
-    echo_path = out_dir / "config_resolved.json"
-    with open(echo_path, "w", encoding="utf-8") as fh:
-        json.dump(echo, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    result.paths["config_echo"] = echo_path
+    outputs = {
+        "metrics": ("reports/metrics.csv", header + rows),
+        "f1_comparison": ("reports/f1_comparison.csv", header + f1_rows),
+        "config_echo": ("config_resolved.json", [json.dumps(echo, sort_keys=True, indent=2)]),
+    }
+    for key, (name, lines) in outputs.items():
+        result.paths[key] = result.paths["output_dir"] / name
+        result.paths[key].write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -360,12 +360,17 @@ def test_explain_top_k_below_one_is_config_error(workspace, tmp_path, capsys, to
      {"split": {"train_fraction": float("nan")}},
      {"baselines": {"logreg_l2_lambda": float("inf")}}, "[" * 200_000,
      {"baselines": {"rf_n_trees": 0}}, {"baselines": {"rf_n_trees": -1}},
-     {"baselines": {"rf_max_depth": -1}}, {"baselines": {"rf_n_features_per_split": 0}}],
+     {"baselines": {"rf_max_depth": -1}}, {"baselines": {"rf_n_features_per_split": 0}},
+     {"vocab_min_count": 0}, {"phenotypes": ["pheno0", "pheno0"]}, {"phenotypes": ["a/b"]},
+     {"phenotypes": ["a\\b"]}, {"phenotypes": ["a,b"]}, {"phenotypes": [""]},
+     {"phenotypes": ["a\nb"]}, {"phenotypes": ["a\rb"]}],
     ids=["section-string", "section-list", "field-type",
          "split-seed", "pretrain-seed", "cnn-seed", "cnn-n-heads",
          "pretrain-lr-nan", "pretrain-lr-zero", "cnn-max-norm-nan", "cnn-eps-nan",
          "cnn-max-norm-inf", "split-fraction-nan", "baselines-lambda-inf", "deeply-nested",
-         "rf-trees-zero", "rf-trees-negative", "rf-depth-negative", "rf-features-zero"],
+         "rf-trees-zero", "rf-trees-negative", "rf-depth-negative", "rf-features-zero",
+         "vocab-min-count-zero", "phenotype-repeated", "phenotype-slash", "phenotype-backslash",
+         "phenotype-comma", "phenotype-empty", "phenotype-newline", "phenotype-carriage-return"],
 )
 def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override):
     """override: fields replacing the workspace config's, or the whole file's text."""
@@ -593,6 +598,12 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
         pytest.param(lambda ws, tmp: ["split", "--corpus", _written(tmp, "empty.jsonl", ""),
                                       "--out", str(tmp / "split")], 3,
                      id="split-empty-corpus"),
+        pytest.param(lambda ws, tmp: ["pretrain", "--corpus", _written(tmp, "empty.jsonl", ""),
+                                      "--out", str(tmp / "e.txt")], 3,
+                     id="pretrain-empty-corpus"),
+        pytest.param(lambda ws, tmp: ["pretrain", "--corpus", str(ws["paths"]["unlabeled"]),
+                                      "--out", str(tmp / "e.txt"), "--min-count", "0"], 2,
+                     id="pretrain-min-count-zero"),
         *[pytest.param(lambda ws, tmp, scope=scope: [
             "explain", "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json")),
             "--corpus", _written(tmp, "empty.jsonl", ""), "--phenotype", "pheno0",

@@ -1,14 +1,16 @@
 import json
+from collections import Counter
 
 import pytest
 
-from notepheno import checkpoint, concepts
+from notepheno import checkpoint, concepts, featurize
 from notepheno.experiment import (
     ConfigError,
     DataError,
     derive_seed,
     experiment_config_from_dict,
     load_experiment_config,
+    plan,
     run_experiment,
 )
 from notepheno.synthetic import SyntheticSpec, generate_synthetic_corpus
@@ -101,6 +103,79 @@ def test_unfiltered_concept_counts_are_shared_across_phenotypes(tmp_path, monkey
         baselines={"rf_n_trees": 5})))
     n_scored = sum(len((out / "split" / f"{part}.ids").read_text().split()) for part in ("train", "test"))
     assert n_scored > 0 and len(calls) == n_scored
+
+
+def test_ngram_counts_are_shared_across_phenotypes(corpus, tmp_path, monkeypatch):
+    # n-gram counts do not depend on the phenotype: a two-phenotype run of both
+    # n-gram models counts each train and test note once per n.
+    calls = Counter()
+    extract = featurize.extract_ngrams
+    monkeypatch.setattr(featurize, "extract_ngrams",
+                        lambda tokens, n: calls.update([n]) or extract(tokens, n))
+    out = tmp_path / "out"
+    run_experiment(experiment_config_from_dict(base_config(corpus, out, models=["2gram-lr", "3gram-lr"])))
+    n_scored = sum(len((out / "split" / f"{part}.ids").read_text().split()) for part in ("train", "test"))
+    assert n_scored > 0 and calls == {2: n_scored, 3: n_scored}
+
+
+def test_unlabeled_notes_leave_labeled_notes_of_the_same_id_alone(corpus, tmp_path):
+    # the unlabeled corpus feeds only the vocabulary and pretraining, even
+    # where it reuses a labeled note's id
+    ids = [json.loads(line)["note_id"] for line in corpus["labeled"].read_text().splitlines()]
+    clash = tmp_path / "unlabeled.jsonl"
+    clash.write_text("".join(json.dumps({"note_id": i, "text": "zzz qqq"}) + "\n" for i in ids))
+
+    def checkpoint_bytes(tag, unlabeled_path):
+        out = tmp_path / tag
+        run_experiment(experiment_config_from_dict(base_config(
+            corpus, out, models=["2gram-lr"], unlabeled_path=unlabeled_path)))
+        return (out / "checkpoints" / "2gram-lr__pheno0.json").read_bytes()
+
+    assert checkpoint_bytes("clash", str(clash)) == checkpoint_bytes("none", None)
+
+
+class TestPlan:
+    @staticmethod
+    def jobs(corpus, tmp_path, **overrides):
+        jobs = plan(experiment_config_from_dict(base_config(corpus, tmp_path, **overrides)))
+        for job in jobs:
+            assert job.seed_name == f"train:{job.model}:{job.tag}"
+            assert job.seed == derive_seed(4, job.seed_name)
+        return [(job.model, job.phenotypes, job.tag) for job in jobs]
+
+    def test_per_phenotype_jobs_in_model_then_phenotype_order(self, corpus, tmp_path):
+        assert self.jobs(corpus, tmp_path, models=["2gram-lr", "cnn"]) == [
+            ("2gram-lr", ("pheno0",), "pheno0"), ("2gram-lr", ("pheno1",), "pheno1"),
+            ("cnn", ("pheno0",), "pheno0"), ("cnn", ("pheno1",), "pheno1"),
+        ]
+
+    def test_multilabel_gives_one_joint_cnn_job(self, corpus, tmp_path):
+        assert self.jobs(corpus, tmp_path, models=["2gram-lr", "cnn"], multilabel=True) == [
+            ("2gram-lr", ("pheno0",), "pheno0"), ("2gram-lr", ("pheno1",), "pheno1"),
+            ("cnn", ("pheno0", "pheno1"), "multilabel"),
+        ]
+
+    def test_one_phenotype_multilabel_cnn_is_tagged_with_the_phenotype(self, corpus, tmp_path):
+        jobs = self.jobs(corpus, tmp_path, models=["cnn"], phenotypes=["pheno1"], multilabel=True)
+        assert jobs == [("cnn", ("pheno1",), "pheno1")]
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_model_order_changes_no_output(self, corpus, tmp_path, multilabel):
+        # jobs read only inputs computed before the first fit, so the order
+        # they run in changes no checkpoint, metric or seed.
+        def run(tag, models):
+            out = tmp_path / tag
+            result = run_experiment(experiment_config_from_dict(base_config(
+                corpus, out, models=models, multilabel=multilabel, baselines={"rf_n_trees": 5},
+                cnn={"filter_widths": [2, 3], "filters_per_width": 8, "epochs": 3, "batch_size": 4})))
+            checkpoints = {p.name: p.read_bytes() for p in (out / "checkpoints").iterdir()}
+            seeds = json.loads((out / "config_resolved.json").read_text())["derived_seeds"]
+            return result.metrics, checkpoints, seeds
+
+        models = ["cnn", "2gram-lr", "filter-rf"]
+        forward, backward = run("forward", models), run("backward", models[::-1])
+        assert len(forward[1]) == (5 if multilabel else 6)
+        assert forward == backward
 
 
 class TestConfigParsing:
