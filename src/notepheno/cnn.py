@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 
 from .corpus import PAD_ID, require_finite
@@ -180,10 +180,19 @@ def groups(model: CnnModel, id_lists: list[list[int]]) -> list[tuple[int, int]]:
 
 
 def _flat_windows(embedded: np.ndarray, width: int) -> np.ndarray:
-    """Every width-long window of every note, one per row: (notes * windows, width * dim)."""
+    """Every width-long window of every note, one per row: (notes * windows, width * dim).
+
+    In a C-ordered (notes, positions, dim) block, window t of a note is rows
+    t..t+width-1, one contiguous run of width * dim values; a strided view
+    reads each run in place and one reshape copies them out.
+    """
+    embedded = np.ascontiguousarray(embedded)
     n_notes, n_positions, dim = embedded.shape
-    stacked = sliding_window_view(embedded, width, axis=1)  # (notes, windows, dim, width)
-    return stacked.transpose(0, 1, 3, 2).reshape(n_notes * (n_positions - width + 1), width * dim)
+    n_windows = n_positions - width + 1
+    note_stride, position_stride, value_stride = embedded.strides
+    runs = as_strided(embedded, shape=(n_notes, n_windows, width * dim),
+                      strides=(note_stride, position_stride, value_stride), writeable=False)
+    return runs.reshape(n_notes * n_windows, width * dim)
 
 
 def activate(model: CnnModel, grid: np.ndarray, w: int) -> np.ndarray:
@@ -234,7 +243,8 @@ def forward_batch(
         best = np.argmax(z, axis=2)  # (filters, notes)
         grids[w] = z.transpose(1, 2, 0)
         argmax[w] = best.T
-        maxima = np.take_along_axis(z, best[:, :, None], axis=2)[:, :, 0]
+        # z is C-ordered, so the (filter, note) row starts at flat index (f * notes + b) * p
+        maxima = z.ravel()[np.arange(0, z.size, p) + best.ravel()].reshape(nf, n_notes)
         pooled_parts.append(activate(model, maxima.T, w))
     pooled = np.concatenate(pooled_parts, axis=1)
 

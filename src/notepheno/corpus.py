@@ -220,7 +220,9 @@ def load_notes_jsonl(path: str | Path) -> list[Note]:
     """Read newline-delimited note records (note_id, text, optional labels).
 
     A record that is not an object with a note_id, a string text and an object
-    (or null) of 0/1 labels is a ValueError naming path:line.
+    (or null) of 0/1 labels is a ValueError naming path:line. A label must be
+    a JSON number equal to 0 or 1 (so 1.0 reads as 1); a bool, a string or
+    any other number is rejected, never rounded.
     """
     notes = []
     seen = set()
@@ -240,6 +242,9 @@ def load_notes_jsonl(path: str | Path) -> list[Note]:
                 raise ValueError(f"{path}:{lineno}: text must be a string, got {type(text).__name__}")
             if labels is not None and not isinstance(labels, dict):
                 raise ValueError(f"{path}:{lineno}: labels must be a JSON object, got {type(labels).__name__}")
+            for name, value in (labels or {}).items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or value not in (0, 1):
+                    raise ValueError(f"{path}:{lineno}: label {name!r} is {value!r}, expected 0 or 1")
             try:
                 note = Note(
                     note_id=str(record["note_id"]),

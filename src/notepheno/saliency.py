@@ -47,27 +47,6 @@ class SaliencyReport:
     flagged_negative: bool = False  # local scope only: prediction was negative
 
 
-def _sort_entries(entries: list[PhraseScore]) -> list[PhraseScore]:
-    return sorted(entries, key=lambda e: (-e.score, e.width, e.position, e.note_id, e.doc_index))
-
-
-def _dedup_top_k(entries: list[PhraseScore], k: int) -> list[PhraseScore]:
-    """Keep the best-scoring entry per exact phrase string, then the top k.
-
-    Windows that reach into the padding are dropped: reports list real
-    phrases only. Entries are visited in report order, so the first k
-    distinct phrases are the answer, already sorted.
-    """
-    best: dict[str, PhraseScore] = {}
-    for entry in _sort_entries(entries):
-        if PAD_TOKEN in entry.phrase:
-            continue
-        best.setdefault(entry.text, entry)
-        if len(best) == k:
-            break
-    return list(best.values())
-
-
 def _window_values(
     model: CnnModel, acts: BatchActivations, variant: str, head: int
 ) -> dict[int, np.ndarray]:
@@ -142,6 +121,63 @@ def phrase_scores(
     return _note_scores(acts, _window_values(model, acts, variant, head), 0, tokens, note_id)
 
 
+# Candidate windows as parallel arrays: score, width, start position and
+# document index (into the report's document list).
+Windows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _windows(values: dict[int, np.ndarray], rows: np.ndarray, docs: np.ndarray,
+             n_tokens: np.ndarray) -> Windows:
+    """Every window of the group's notes `rows` (documents `docs`, n_tokens
+    real tokens each) that lies within the note's own tokens."""
+    parts = []
+    for w, grid in values.items():
+        note, position = np.nonzero(np.arange(grid.shape[1]) <= (n_tokens - w)[:, None])
+        parts.append((grid[rows[note], position], np.full(note.size, w), position, docs[note]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _top_k(windows: Windows, documents: list[tuple[str, list[str]]], doc_rank: np.ndarray,
+           k: int) -> Windows:
+    """The first k windows of distinct phrase text in report order.
+
+    Report order is score descending, then width, position, note id and
+    document index ascending; doc_rank ranks the documents by (note id,
+    index). Phrases holding a literal PAD token are skipped. Only the
+    windows visited are turned into text.
+    """
+    score, width, position, doc = windows
+    kept, texts = [], set()
+    for i in np.lexsort((doc_rank[doc], position, width, -score)).tolist():
+        start = int(position[i])
+        phrase = documents[doc[i]][1][start : start + int(width[i])]
+        text = " ".join(phrase)
+        if PAD_TOKEN in phrase or text in texts:
+            continue
+        texts.add(text)
+        kept.append(i)
+        if len(kept) == k:
+            break
+    return tuple(column[kept] for column in windows)
+
+
+def _entries(windows: Windows, documents: list[tuple[str, list[str]]]) -> list[PhraseScore]:
+    entries = []
+    for score, w, start, doc in zip(*(column.tolist() for column in windows)):
+        note_id, tokens = documents[doc]
+        entries.append(PhraseScore(phrase=tuple(tokens[start : start + w]), width=w, position=start,
+                                   score=score, note_id=note_id, doc_index=doc))
+    return entries
+
+
+def _doc_rank(documents: list[tuple[str, list[str]]]) -> np.ndarray:
+    """Each document's rank in (note id, input order) order."""
+    order = sorted(range(len(documents)), key=lambda i: documents[i][0])
+    rank = np.empty(len(documents), dtype=np.intp)
+    rank[order] = np.arange(len(documents))
+    return rank
+
+
 def global_top_phrases(
     model: CnnModel,
     vocab: Vocabulary,
@@ -162,11 +198,13 @@ def global_top_phrases(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     documents = [(note_id, tokens) for note_id, tokens in documents if tokens]
+    n_tokens = np.array([len(tokens) for _, tokens in documents], dtype=np.intp)
+    doc_rank = _doc_rank(documents)
     # The deduplicated top k of the documents seen so far (groups arrive in
     # length order). A phrase of the overall top k has fewer than k better
     # distinct phrases among any subset of the documents, so it survives
     # every cut, and memory stays bounded.
-    entries: list[PhraseScore] = []
+    kept = (np.empty(0),) + (np.empty(0, dtype=np.intp),) * 3
     any_positive = False
     for rows, acts in forward_groups(model, [vocab.resolve(tokens) for _, tokens in documents]):
         _, labels = classify(model, acts.probs)
@@ -174,17 +212,14 @@ def global_top_phrases(
         if positives.size == 0:
             continue
         any_positive = True
-        values = _window_values(model, acts, variant, head)
-        pooled = list(entries)
-        for row in positives:
-            doc_index = int(rows[row])
-            note_id, tokens = documents[doc_index]
-            pooled.extend(_note_scores(acts, values, row, tokens, note_id, doc_index))
-        entries = _dedup_top_k(pooled, k)
+        docs = rows[positives]
+        found = _windows(_window_values(model, acts, variant, head), positives, docs, n_tokens[docs])
+        kept = _top_k(tuple(np.concatenate(pair) for pair in zip(kept, found)), documents, doc_rank, k)
     if not any_positive:
         warnings.warn(
             f"no document was predicted positive for {phenotype!r}; empty saliency report"
         )
+    entries = _entries(kept, documents)
     if entries and entries[0].score == 0.0:
         warnings.warn(f"all phrase scores for {phenotype!r} are zero")
     return SaliencyReport(scope="global", phenotype=phenotype, entries=entries)
@@ -211,8 +246,10 @@ def local_salient_phrases(
             f"note {note_id!r} is predicted negative for {phenotype!r}; "
             "report flagged accordingly"
         )
-    values = _window_values(model, acts, variant, head)
-    entries = _dedup_top_k(_note_scores(acts, values, 0, tokens, note_id), k)
+    documents = [(note_id, tokens)]
+    one = np.zeros(1, dtype=np.intp)
+    found = _windows(_window_values(model, acts, variant, head), one, one, np.array([len(tokens)]))
+    entries = _entries(_top_k(found, documents, one, k), documents)
     if entries and entries[0].score == 0.0:
         warnings.warn(f"all phrase scores for {phenotype!r} are zero")
     return SaliencyReport(

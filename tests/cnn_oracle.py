@@ -4,6 +4,12 @@ forward, backward, train (with its validation and predict) and the saliency
 phrase_scores / global_top_phrases loop below are the one-note-at-a-time
 implementations, unchanged apart from imports. tests/test_cnn_engine.py
 checks the engine in notepheno.cnn and notepheno.saliency against them.
+
+The second half keeps earlier forms of the batched engine that must give
+bit-identical results: forward_batch_reference (windows gathered with
+sliding_window_view, padding set by a boolean mask, maxima read with
+take_along_axis) and the list-based top-k explain paths, which build one
+PhraseScore per window and sort them with a Python key.
 """
 
 from __future__ import annotations
@@ -12,12 +18,24 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from notepheno.cnn import PROB_CLAMP, CnnModel, TrainHistory, apply_max_norm
+from notepheno.cnn import (
+    PROB_CLAMP,
+    BatchActivations,
+    CnnModel,
+    TrainHistory,
+    _sigmoid,
+    activate,
+    apply_max_norm,
+    classify,
+    forward_groups,
+)
+from notepheno.cnn import forward as engine_forward
 from notepheno.corpus import PAD_ID, PAD_TOKEN, Vocabulary
 from notepheno.metrics import confusion, f1
 from notepheno.optim import AdadeltaState, adadelta_step
-from notepheno.saliency import VARIANTS, PhraseScore, SaliencyReport, _dedup_top_k
+from notepheno.saliency import VARIANTS, PhraseScore, SaliencyReport, _note_scores, _window_values
 
 
 @dataclass
@@ -32,10 +50,6 @@ class Activations:
     dropout_mask: np.ndarray | None  # (total filters,) keep mask, train mode only
     dropped: np.ndarray  # (total filters,) vector fed to the output layer
     probs: np.ndarray  # (heads,)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _windows(embedded: np.ndarray, width: int) -> np.ndarray:
@@ -330,3 +344,160 @@ def global_top_phrases(
     if entries and entries[0].score == 0.0:
         warnings.warn(f"all phrase scores for {phenotype!r} are zero")
     return SaliencyReport(scope="global", phenotype=phenotype, entries=entries)
+
+
+# --------------------------------------------------------------------------
+# Earlier forms of the batched engine, kept as bit-exact references.
+# --------------------------------------------------------------------------
+def _flat_windows_reference(embedded: np.ndarray, width: int) -> np.ndarray:
+    """Every width-long window of every note, one per row: (notes * windows, width * dim)."""
+    n_notes, n_positions, dim = embedded.shape
+    stacked = sliding_window_view(embedded, width, axis=1)  # (notes, windows, dim, width)
+    return stacked.transpose(0, 1, 3, 2).reshape(n_notes * (n_positions - width + 1), width * dim)
+
+
+def forward_batch_reference(
+    model: CnnModel,
+    id_lists: list[list[int]],
+    dropout_draws: np.ndarray | None = None,
+) -> BatchActivations:
+    """notepheno.cnn.forward_batch as it was before its windows became
+    contiguous-run views and its max-pool a flat gather."""
+    if not id_lists or any(len(ids) == 0 for ids in id_lists):
+        raise ValueError("cannot run the model on an empty token sequence")
+    cfg = model.config
+    nf = cfg.filters_per_width
+    lengths = np.array([max(len(ids), max(cfg.filter_widths)) for ids in id_lists])
+    n_notes, n_positions = len(id_lists), int(lengths.max())
+    ids = np.full((n_notes, n_positions), PAD_ID, dtype=np.intp)
+    for b, seq in enumerate(id_lists):
+        ids[b, : len(seq)] = seq
+    embedded = model.embeddings.vectors[ids]
+
+    grids: dict[int, np.ndarray] = {}
+    argmax: dict[int, np.ndarray] = {}
+    pooled_parts = []
+    for w in cfg.filter_widths:
+        p = n_positions - w + 1
+        z = model.conv_weights[w].reshape(nf, -1) @ _flat_windows_reference(embedded, w).T
+        z = z.reshape(nf, n_notes, p)
+        z[:, np.arange(p)[None, :] > (lengths - w)[:, None]] = -np.inf
+        best = np.argmax(z, axis=2)  # (filters, notes)
+        grids[w] = z.transpose(1, 2, 0)
+        argmax[w] = best.T
+        maxima = np.take_along_axis(z, best[:, :, None], axis=2)[:, :, 0]
+        pooled_parts.append(activate(model, maxima.T, w))
+    pooled = np.concatenate(pooled_parts, axis=1)
+
+    if dropout_draws is None:
+        mask = None
+        dropped = pooled
+    else:
+        mask = (dropout_draws >= cfg.dropout_p).astype(float)
+        dropped = pooled * mask / (1.0 - cfg.dropout_p)
+
+    logits = dropped @ model.output_weights.T + model.output_bias
+    return BatchActivations(
+        ids=ids,
+        lengths=lengths,
+        embedded=embedded,
+        grids=grids,
+        argmax=argmax,
+        pooled=pooled,
+        dropout_mask=mask,
+        dropped=dropped,
+        probs=_sigmoid(logits),
+    )
+
+
+def _sort_entries(entries: list[PhraseScore]) -> list[PhraseScore]:
+    return sorted(entries, key=lambda e: (-e.score, e.width, e.position, e.note_id, e.doc_index))
+
+
+def _dedup_top_k(entries: list[PhraseScore], k: int) -> list[PhraseScore]:
+    """Keep the best-scoring entry per exact phrase string, then the top k.
+
+    Windows that reach into the padding are dropped: reports list real
+    phrases only. Entries are visited in report order, so the first k
+    distinct phrases are the answer, already sorted.
+    """
+    best: dict[str, PhraseScore] = {}
+    for entry in _sort_entries(entries):
+        if PAD_TOKEN in entry.phrase:
+            continue
+        best.setdefault(entry.text, entry)
+        if len(best) == k:
+            break
+    return list(best.values())
+
+
+def global_top_phrases_listed(
+    model: CnnModel,
+    vocab: Vocabulary,
+    documents: list[tuple[str, list[str]]],
+    phenotype: str,
+    head: int,
+    k: int,
+    variant: str = "weighted",
+) -> SaliencyReport:
+    """notepheno.saliency.global_top_phrases as it was when it ranked a list
+    of PhraseScores, one per window, group by group."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    documents = [(note_id, tokens) for note_id, tokens in documents if tokens]
+    entries: list[PhraseScore] = []
+    any_positive = False
+    for rows, acts in forward_groups(model, [vocab.resolve(tokens) for _, tokens in documents]):
+        _, labels = classify(model, acts.probs)
+        positives = np.flatnonzero(labels[:, head] == 1)
+        if positives.size == 0:
+            continue
+        any_positive = True
+        values = _window_values(model, acts, variant, head)
+        pooled = list(entries)
+        for row in positives:
+            doc_index = int(rows[row])
+            note_id, tokens = documents[doc_index]
+            pooled.extend(_note_scores(acts, values, row, tokens, note_id, doc_index))
+        entries = _dedup_top_k(pooled, k)
+    if not any_positive:
+        warnings.warn(
+            f"no document was predicted positive for {phenotype!r}; empty saliency report"
+        )
+    if entries and entries[0].score == 0.0:
+        warnings.warn(f"all phrase scores for {phenotype!r} are zero")
+    return SaliencyReport(scope="global", phenotype=phenotype, entries=entries)
+
+
+def local_salient_phrases_listed(
+    model: CnnModel,
+    vocab: Vocabulary,
+    note_id: str,
+    tokens: list[str],
+    phenotype: str,
+    head: int,
+    k: int,
+    variant: str = "weighted",
+) -> SaliencyReport:
+    """notepheno.saliency.local_salient_phrases as it was when it ranked a
+    list of PhraseScores, one per window."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    acts = engine_forward(model, vocab.resolve(tokens))
+    _, labels = classify(model, acts.probs)
+    flagged = bool(labels[0, head] != 1)
+    if flagged:
+        warnings.warn(
+            f"note {note_id!r} is predicted negative for {phenotype!r}; "
+            "report flagged accordingly"
+        )
+    values = _window_values(model, acts, variant, head)
+    entries = _dedup_top_k(_note_scores(acts, values, 0, tokens, note_id), k)
+    if entries and entries[0].score == 0.0:
+        warnings.warn(f"all phrase scores for {phenotype!r} are zero")
+    return SaliencyReport(
+        scope="local",
+        phenotype=phenotype,
+        entries=entries,
+        flagged_negative=flagged,
+    )

@@ -448,6 +448,14 @@ def _first_notes(workspace, tmp_path, n) -> str:
     return _written(tmp_path, "first.jsonl", "".join(lines[:n]))
 
 
+def _relabeled(workspace, tmp_path, value) -> str:
+    """The workspace's labeled corpus with its first note's pheno0 label set to value."""
+    first, *rest = workspace["paths"]["labeled"].read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record["labels"]["pheno0"] = value
+    return _written(tmp_path, "relabeled.jsonl", json.dumps(record) + "\n" + "".join(rest))
+
+
 # CNN checkpoints whose arrays or phenotypes do not fit the model's config,
 # vocabulary (one embedding row per token) and heads, whose arrays hold a
 # null (read as NaN), or whose config fields have the wrong type.
@@ -467,6 +475,7 @@ _BAD_CNN_CHECKPOINTS = {
 }
 _BAD_RECORDS = {"list-record": "[1, 2]", "int-text": '{"note_id": "a", "text": 5, "labels": {"pheno0": 1}}',
                 "list-labels": '{"note_id": "a", "text": "x", "labels": [1]}'}
+_BAD_LABELS = {"label-0.7": 0.7, "label-string": "1", "label-true": True}
 _ONE_COLUMN = "c1\n"
 _DEEP = "[" * 200_000
 _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
@@ -483,6 +492,12 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
             lambda ws, tmp, rec=rec: ["evaluate", "--corpus", _written(tmp, "notes.jsonl", rec + "\n"),
                                       "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json"))], 3,
             id=f"evaluate-{name}") for name, rec in _BAD_RECORDS.items()],
+        *[pytest.param(
+            lambda ws, tmp, value=value, model=model: [
+                "evaluate", "--checkpoint", str(_ckpt(ws, f"{model}__pheno0.json")),
+                "--corpus", _relabeled(ws, tmp, value)], 3,
+            id=f"evaluate-{model}-{name}")
+          for name, value in _BAD_LABELS.items() for model in ("cnn", "2gram-lr")],
         pytest.param(lambda ws, tmp: _experiment_argv(
             ws, tmp, unlabeled_path=_written(tmp, "u.jsonl", "{not json\n")), 3,
             id="run-experiment-bad-json-unlabeled"),

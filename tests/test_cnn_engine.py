@@ -197,6 +197,19 @@ class TestTrainingAgainstOracle:
             [e.score for e in got.entries], [e.score for e in want.entries], rtol=1e-9
         )
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("variant", saliency.VARIANTS)
+    def test_explain_equals_the_listed_paths(self, criterion3_runs, variant):
+        # the array ranking keeps every entry, score bits included
+        model = criterion3_runs["runs"]["engine"]["model"]
+        vocab, documents = criterion3_runs["vocab"], criterion3_runs["documents"]
+        got = saliency.global_top_phrases(model, vocab, documents, "pheno0", 0, 19, variant)
+        assert len(got.entries) == 19
+        assert got == oracle.global_top_phrases_listed(model, vocab, documents, "pheno0", 0, 19, variant)
+        for note_id, tokens in documents[:20]:
+            assert saliency.local_salient_phrases(model, vocab, note_id, tokens, "pheno0", 0, 19, variant) \
+                == oracle.local_salient_phrases_listed(model, vocab, note_id, tokens, "pheno0", 0, 19, variant)
+
     def test_phrase_scores_match_per_note(self, criterion3_runs):
         model = criterion3_runs["runs"]["engine"]["model"]
         vocab = criterion3_runs["vocab"]
@@ -246,6 +259,10 @@ def test_global_ties_and_duplicates_match_the_oracle(zero_weights, k, one_note_g
             ]
             np.testing.assert_allclose([e.score for e in got.entries],
                                        [e.score for e in want.entries], rtol=1e-9)
+            assert got == oracle.global_top_phrases_listed(model, vocab, docs, "p", 0, k, variant)
+            for note_id, tokens in docs:
+                assert saliency.local_salient_phrases(model, vocab, note_id, tokens, "p", 0, k, variant) \
+                    == oracle.local_salient_phrases_listed(model, vocab, note_id, tokens, "p", 0, k, variant)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +288,36 @@ def test_probabilities_do_not_depend_on_grouping(notes, cuts):
     probs, _ = cnn.predict_batch(CHUNK_MODEL, notes)
     np.testing.assert_allclose(probs, np.clip(alone, cnn.PROB_CLAMP, 1 - cnn.PROB_CLAMP),
                                rtol=0, atol=1e-12)
+
+
+EXACT_MODELS = {(activation, n_heads): random_model(widths=(2, 3, 5), filters=6, dim=5, vocab_size=25,
+                                                    n_heads=n_heads, activation=activation, seed=n_heads)
+                for activation in ("tanh", "relu") for n_heads in (1, 3)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    notes=st.lists(
+        st.lists(st.integers(0, 24), min_size=1, max_size=30), min_size=1, max_size=12
+    ),
+    activation=st.sampled_from(["tanh", "relu"]),
+    n_heads=st.sampled_from([1, 3]),
+    dropout=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_batch_is_bit_identical_to_the_reference(notes, activation, n_heads, dropout, seed):
+    # ragged groups, notes shorter than the widest filter (5) and PAD ids (0)
+    model = EXACT_MODELS[activation, n_heads]
+    draws = np.random.default_rng(seed).random((len(notes), model.total_filters)) if dropout else None
+    got = cnn.forward_batch(model, notes, draws)
+    want = oracle.forward_batch_reference(model, notes, draws)
+    for name in ("ids", "lengths", "embedded", "pooled", "dropped", "probs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.dropout_mask is None) == (want.dropout_mask is None)
+    assert got.dropout_mask is None or np.array_equal(got.dropout_mask, want.dropout_mask)
+    for w in model.config.filter_widths:
+        assert np.array_equal(got.grids[w], want.grids[w]), w
+        assert np.array_equal(got.argmax[w], want.argmax[w]), w
 
 
 def test_groups_respect_the_element_cap():

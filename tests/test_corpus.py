@@ -169,14 +169,24 @@ class TestNoteIO:
         [[1, 2], {"text": "x"}, {"note_id": "a", "text": 5}, {"note_id": "a"},
          {"note_id": "a", "text": "x", "labels": [1]},
          {"note_id": "a", "text": "x", "labels": {"p": None}},
-         {"note_id": "a", "text": "x", "labels": {"p": 2}}],
-        ids=["list", "no-id", "int-text", "no-text", "list-labels", "null-label", "label-2"],
+         {"note_id": "a", "text": "x", "labels": {"p": 2}},
+         {"note_id": "a", "text": "x", "labels": {"p": 0.7}},
+         {"note_id": "a", "text": "x", "labels": {"p": "1"}},
+         {"note_id": "a", "text": "x", "labels": {"p": True}}],
+        ids=["list", "no-id", "int-text", "no-text", "list-labels", "null-label", "label-2",
+             "label-0.7", "label-string", "label-true"],
     )
     def test_mistyped_record_names_its_line(self, tmp_path, record):
         path = tmp_path / "notes.jsonl"
         path.write_text(json.dumps({"note_id": "ok", "text": "fine"}) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             load_notes_jsonl(path)
+
+    def test_float_labels_equal_to_0_or_1_read_as_ints(self, tmp_path):
+        path = tmp_path / "notes.jsonl"
+        path.write_text(json.dumps({"note_id": "a", "text": "x", "labels": {"p": 1.0, "q": 0.0}}) + "\n")
+        labels = load_notes_jsonl(path)[0].labels
+        assert labels == {"p": 1, "q": 0} and all(type(v) is int for v in labels.values())
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
