@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import random
 import re
 import types
@@ -26,7 +27,11 @@ _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
 
 @dataclass
 class Note:
-    """A single clinical note with optional binary phenotype labels."""
+    """A single clinical note with optional binary phenotype labels.
+
+    A label must be a number equal to 0 or 1 and is stored as an int; a bool,
+    a string or any other value is a ValueError, never rounded.
+    """
 
     note_id: str
     text: str
@@ -37,10 +42,11 @@ class Note:
             raise ValueError("note_id must be non-empty")
         if self.labels is not None:
             for name, value in self.labels.items():
-                if value not in (0, 1):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) or value not in (0, 1):
                     raise ValueError(
                         f"label {name!r} of note {self.note_id!r} is {value!r}, expected 0 or 1"
                     )
+            self.labels = {name: int(value) for name, value in self.labels.items()}
 
 
 def tokenize(text: str) -> list[str]:
@@ -242,15 +248,8 @@ def load_notes_jsonl(path: str | Path) -> list[Note]:
                 raise ValueError(f"{path}:{lineno}: text must be a string, got {type(text).__name__}")
             if labels is not None and not isinstance(labels, dict):
                 raise ValueError(f"{path}:{lineno}: labels must be a JSON object, got {type(labels).__name__}")
-            for name, value in (labels or {}).items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value not in (0, 1):
-                    raise ValueError(f"{path}:{lineno}: label {name!r} is {value!r}, expected 0 or 1")
             try:
-                note = Note(
-                    note_id=str(record["note_id"]),
-                    text=text,
-                    labels=None if labels is None else {k: int(v) for k, v in labels.items()},
-                )
+                note = Note(note_id=str(record["note_id"]), text=text, labels=labels)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if note.note_id in seen:

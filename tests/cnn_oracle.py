@@ -25,7 +25,6 @@ from notepheno.cnn import (
     BatchActivations,
     CnnModel,
     TrainHistory,
-    _sigmoid,
     activate,
     apply_max_norm,
     classify,
@@ -50,6 +49,10 @@ class Activations:
     dropout_mask: np.ndarray | None  # (total filters,) keep mask, train mode only
     dropped: np.ndarray  # (total filters,) vector fed to the output layer
     probs: np.ndarray  # (heads,)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _windows(embedded: np.ndarray, width: int) -> np.ndarray:

@@ -192,6 +192,14 @@ class TestNoteIO:
         with pytest.raises(ValueError):
             Note(note_id="a", text="x", labels={"p": 2})
 
+    @pytest.mark.parametrize("value", [-1, 0.7, "1", True, None])
+    def test_non_binary_label_rejected_by_note(self, value):
+        with pytest.raises(ValueError):
+            Note(note_id="a", text="x", labels={"p": value})
+
+    def test_note_stores_labels_as_ints(self):
+        assert type(Note(note_id="a", text="x", labels={"p": 1.0}).labels["p"]) is int
+
     def test_empty_note_id_rejected(self):
         with pytest.raises(ValueError):
             Note(note_id="", text="x")
