@@ -79,13 +79,14 @@ def _key_to_json(key: FeatureKey) -> list:
     return ["ngram", list(key)]
 
 
-def _key_from_json(data: list) -> FeatureKey:
-    kind = data[0]
-    if kind == "concept":
-        return (data[1], bool(data[2]))
-    if kind == "ngram":
-        return tuple(data[1])
-    raise ValueError(f"unknown feature key kind {kind!r}")
+def _key_from_json(data) -> FeatureKey:
+    """The key of a ["concept", str, bool] or ["ngram", [str, ...]] item."""
+    match data:
+        case ["concept", str() as concept, bool() as negated]:
+            return (concept, negated)
+        case ["ngram", [str(), *_] as tokens] if all(isinstance(t, str) for t in tokens):
+            return tuple(tokens)
+    raise ValueError(f'feature key {data!r} is neither ["concept", str, bool] nor ["ngram", [str, ...]]')
 
 
 def _baseline_doc(ckpt: Checkpoint) -> dict:
@@ -194,8 +195,11 @@ def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
 def _load_baseline(kind: str, doc: dict) -> Checkpoint:
     data = doc["feature_space"]
     keys = [_key_from_json(item) for item in data["features"]]
+    index = {k: i for i, k in enumerate(keys)}
+    if len(index) != len(keys):
+        raise ValueError("the feature space lists a feature key twice")
     idf = _array(data["idf"], "idf", (len(keys),)).tolist()
-    space = FeatureSpace({k: i for i, k in enumerate(keys)}, idf, data["variant"], keys)
+    space = FeatureSpace(index, idf, data["variant"], keys)
     payload = doc["model"]
     if kind == "logreg":
         model = LinearModel(

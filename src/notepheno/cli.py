@@ -1,8 +1,8 @@
 """Command-line entry points: generate, pretrain, split, train, evaluate,
 explain, and the composite run-experiment.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 model-load
-error.
+Exit codes: 0 success, 2 configuration error (an output path that cannot be
+written included), 3 data error, 4 model-load error.
 """
 
 from __future__ import annotations
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except ModelLoadError as exc:
         print(f"model-load error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except OSError as exc:  # every read raises one of the errors above, so this is a write
+        print(f"config error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -287,23 +287,10 @@ def forward_groups(
         yield rows, forward_batch(model, by_length[lo:hi], None if draws is None else draws[rows])
 
 
-def forward(
-    model: CnnModel,
-    token_ids: list[int],
-    train_mode: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-) -> BatchActivations:
-    """Run the network on one id sequence: forward_batch on a group of one.
-
-    In train mode with dropout, the mask comes from one draw of total-filters
-    uniforms from dropout_rng.
-    """
-    draws = None
-    if train_mode and model.config.dropout_p > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward with dropout needs a dropout_rng")
-        draws = dropout_rng.random(model.total_filters)[None, :]
-    return forward_batch(model, [token_ids], draws)
+def forward(model: CnnModel, token_ids: list[int]) -> BatchActivations:
+    """Run the network on one id sequence with dropout off: forward_batch on a
+    group of one."""
+    return forward_batch(model, [token_ids])
 
 
 def _note_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -436,7 +423,7 @@ def train(
                 f"example has {len(labels)} labels but the model has {cfg.n_heads} heads"
             )
     order_rng = np.random.default_rng([cfg.seed, 0xD47A])
-    dropout_rng = np.random.default_rng([cfg.seed, 0xD407])
+    draw_rng = np.random.default_rng([cfg.seed, 0xD407])
     params = model.parameters()
     state = AdadeltaState.for_params(params)
     history = TrainHistory()
@@ -449,7 +436,7 @@ def train(
             labels = np.array([train_data[i][1] for i in batch], dtype=float)
             draws = None
             if cfg.dropout_p > 0.0:
-                draws = dropout_rng.random(len(batch) * model.total_filters).reshape(len(batch), -1)
+                draws = draw_rng.random(len(batch) * model.total_filters).reshape(len(batch), -1)
             note_losses = np.empty(len(batch))
             grads = {name: np.zeros_like(p) for name, p in params.items()}
             for rows, acts in forward_groups(model, [train_data[i][0] for i in batch], draws):
@@ -476,24 +463,18 @@ def _validation_f1(model, val_data) -> list[float | None]:
     ]
 
 
-def classify(
-    model: CnnModel, probs: np.ndarray, threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def classify(model: CnnModel, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(clamped probabilities, 0/1 labels) from raw sigmoid outputs.
 
     Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP], matching the
-    loss convention, so a threshold of 1.0 can never fire; label = prob >=
-    threshold, the config threshold by default.
+    loss convention; label = prob >= the config threshold, so a threshold
+    above 1 - PROB_CLAMP never fires.
     """
-    if threshold is None:
-        threshold = model.config.threshold
     probs = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return probs, (probs >= threshold).astype(int)
+    return probs, (probs >= model.config.threshold).astype(int)
 
 
-def predict_batch(
-    model: CnnModel, id_lists: list[list[int]], threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(model: CnnModel, id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(notes, heads) probabilities and labels with dropout off (see classify).
 
     A note's outputs do not depend on which notes share its group.
@@ -501,12 +482,10 @@ def predict_batch(
     probs = np.empty((len(id_lists), model.config.n_heads))
     for rows, acts in forward_groups(model, id_lists):
         probs[rows] = acts.probs
-    return classify(model, probs, threshold)
+    return classify(model, probs)
 
 
-def predict(
-    model: CnnModel, token_ids: list[int], threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: CnnModel, token_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-head (probability, binary label) of one note with dropout off."""
-    probs, labels = predict_batch(model, [token_ids], threshold)
+    probs, labels = predict_batch(model, [token_ids])
     return probs[0], labels[0]

@@ -75,9 +75,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def resolve(self, tokens: list[str]) -> list[int]:
         get = self.token_to_id.get
         return [get(tok, UNK_ID) for tok in tokens]

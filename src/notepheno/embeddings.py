@@ -7,7 +7,6 @@ with similar vectors. The PAD row stays exactly zero throughout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -233,36 +232,6 @@ def pretrain_embeddings(
 
     w_in[PAD_ID] = 0.0  # never touched, but make the contract explicit
     return EmbeddingMatrix(vectors=w_in)
-
-
-def nearest_neighbors(
-    emb: EmbeddingMatrix, vocab: Vocabulary, token: str, k: int
-) -> list[tuple[str, float]]:
-    """Top-k cosine neighbors of a token among real vocabulary words.
-
-    The query resolves to UNK when out of vocabulary. PAD, UNK, and the query
-    itself are never candidates; ties break by ascending id. A zero-norm query
-    yields an empty list with a warning.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    query_id = vocab.lookup(token)
-    query = emb.vectors[query_id]
-    query_norm = np.linalg.norm(query)
-    if query_norm == 0:
-        warnings.warn(f"token {token!r} has a zero embedding; cosine undefined")
-        return []
-
-    candidates = [i for i in range(2, emb.vocab_size) if i != query_id]
-    scored = []
-    for i in candidates:
-        norm = np.linalg.norm(emb.vectors[i])
-        if norm == 0:
-            continue
-        cos = float(emb.vectors[i] @ query / (norm * query_norm))
-        scored.append((i, cos))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [(vocab.id_to_token[i], cos) for i, cos in scored[:k]]
 
 
 def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path: str | Path):

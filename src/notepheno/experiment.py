@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .corpus import (
     tokenize,
     write_split_manifest,
 )
-from .embeddings import PretrainConfig, init_embeddings, pretrain_embeddings, save_embeddings
+from .embeddings import EmbeddingMatrix, PretrainConfig, init_embeddings, pretrain_embeddings, save_embeddings
 
 MODEL_NAMES = ("cnn", *baselines.MODELS)
 CONCEPT_MODELS = {
@@ -184,17 +184,7 @@ _SECTION_TYPES = {
     "cnn": cnn.CnnConfig,
     "baselines": BaselineConfig,
 }
-_TOP_LEVEL_KEYS = {
-    "labeled_path",
-    "unlabeled_path",
-    "dictionary_path",
-    "output_dir",
-    "phenotypes",
-    "models",
-    "seed",
-    "multilabel",
-    "vocab_min_count",
-} | set(_SECTION_TYPES)
+_TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentConfig)}
 # Section fields run_experiment sets itself, and where their values come from.
 _DERIVED_FIELDS = {
     ("split", "seed"): "the split seed is derived from the root seed",
@@ -288,7 +278,7 @@ class Shared:
     split: tuple[list[Note], list[Note], list[Note]]  # train, val, test
     tokens: dict[str, list[str]]  # note id -> tokens
     vocab: Vocabulary
-    embeddings: np.ndarray | None
+    embeddings: EmbeddingMatrix | None
     counts: dict[tuple, list[dict]]  # _counts_key -> counts of the train, then test notes
 
 

@@ -73,54 +73,6 @@ def _window_values(
     return values
 
 
-def _note_scores(
-    acts: BatchActivations,
-    values: dict[int, np.ndarray],
-    row: int,
-    tokens: list[str],
-    note_id: str,
-    doc_index: int = 0,
-) -> list[PhraseScore]:
-    """PhraseScores of every (width, window) of note `row` of a group."""
-    length = int(acts.lengths[row])
-    display = list(tokens) + [PAD_TOKEN] * (length - len(tokens))
-    scores: list[PhraseScore] = []
-    for w, grid in values.items():
-        note_values = grid[row].tolist()
-        for i in range(length - w + 1):
-            scores.append(
-                PhraseScore(
-                    phrase=tuple(display[i : i + w]),
-                    width=w,
-                    position=i,
-                    score=note_values[i],
-                    note_id=note_id,
-                    doc_index=doc_index,
-                )
-            )
-    return scores
-
-
-def phrase_scores(
-    model: CnnModel,
-    vocab: Vocabulary,
-    tokens: list[str],
-    note_id: str = "",
-    variant: str = "weighted",
-    head: int = 0,
-) -> list[PhraseScore]:
-    """Score every (width, position) window of one document.
-
-    The "weighted" variant sums activation times the head's output weight
-    over the filters whose argmax is this window, clipped at zero; it
-    approximates the window's contribution to the prediction. The "norm"
-    variant is the L2 norm across the same-width filters' activations at the
-    window, regardless of pooling.
-    """
-    acts = forward(model, vocab.resolve(tokens))
-    return _note_scores(acts, _window_values(model, acts, variant, head), 0, tokens, note_id)
-
-
 # Candidate windows as parallel arrays: score, width, start position and
 # document index (into the report's document list).
 Windows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]

@@ -9,7 +9,8 @@ The second half keeps earlier forms of the batched engine that must give
 bit-identical results: forward_batch_reference (windows gathered with
 sliding_window_view, padding set by a boolean mask, maxima read with
 take_along_axis) and the list-based top-k explain paths, which build one
-PhraseScore per window and sort them with a Python key.
+PhraseScore per window of the engine's score grids (_note_scores) and sort
+them with a Python key.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from notepheno.cnn import forward as engine_forward
 from notepheno.corpus import PAD_ID, PAD_TOKEN, Vocabulary
 from notepheno.metrics import confusion, f1
 from notepheno.optim import AdadeltaState, adadelta_step
-from notepheno.saliency import VARIANTS, PhraseScore, SaliencyReport, _note_scores, _window_values
+from notepheno.saliency import VARIANTS, PhraseScore, SaliencyReport, _window_values
 
 
 @dataclass
@@ -411,6 +412,34 @@ def forward_batch_reference(
         dropped=dropped,
         probs=_sigmoid(logits),
     )
+
+
+def _note_scores(
+    acts: BatchActivations,
+    values: dict[int, np.ndarray],
+    row: int,
+    tokens: list[str],
+    note_id: str,
+    doc_index: int = 0,
+) -> list[PhraseScore]:
+    """PhraseScores of every (width, window) of note `row` of a group."""
+    length = int(acts.lengths[row])
+    display = list(tokens) + [PAD_TOKEN] * (length - len(tokens))
+    scores: list[PhraseScore] = []
+    for w, grid in values.items():
+        note_values = grid[row].tolist()
+        for i in range(length - w + 1):
+            scores.append(
+                PhraseScore(
+                    phrase=tuple(display[i : i + w]),
+                    width=w,
+                    position=i,
+                    score=note_values[i],
+                    note_id=note_id,
+                    doc_index=doc_index,
+                )
+            )
+    return scores
 
 
 def _sort_entries(entries: list[PhraseScore]) -> list[PhraseScore]:

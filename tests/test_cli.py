@@ -456,6 +456,18 @@ def _relabeled(workspace, tmp_path, value) -> str:
     return _written(tmp_path, "relabeled.jsonl", json.dumps(record) + "\n" + "".join(rest))
 
 
+def _repeat_first_key(doc):
+    """The first feature key listed again at the end, with an idf. The space
+    then has as many distinct keys as there are weights, and the repeated
+    key's column, the last one listed, lies past them."""
+    doc["feature_space"]["features"].append(doc["feature_space"]["features"][0])
+    doc["feature_space"]["idf"].append(doc["feature_space"]["idf"][0])
+
+
+def _set_first_key(item):
+    return lambda doc: doc["feature_space"]["features"].__setitem__(0, item)
+
+
 # CNN checkpoints whose arrays or phenotypes do not fit the model's config,
 # vocabulary (one embedding row per token) and heads, whose arrays hold a
 # null (read as NaN), or whose config fields have the wrong type.
@@ -581,6 +593,16 @@ _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["feature_space"]["features"].__setitem__(0, []))), 4,
             id="space-empty-feature-key"),
+        *[pytest.param(lambda ws, tmp, name=name, edit=edit: _evaluate_argv(
+            ws, _tampered(ws, tmp, name, edit), "--dictionary", str(ws["paths"]["dictionary"])), 4,
+            id=f"space-{case}")
+          for case, name, edit in [
+              ("repeated-ngram-key", "2gram-lr__pheno0.json", _repeat_first_key),
+              ("repeated-concept-key", "ctakes-lr__pheno0.json", _repeat_first_key),
+              ("ngram-key-string", "2gram-lr__pheno0.json", _set_first_key(["ngram", "ab"])),
+              ("ngram-key-empty", "2gram-lr__pheno0.json", _set_first_key(["ngram", []])),
+              ("concept-negation-string", "ctakes-lr__pheno0.json", _set_first_key(["concept", "c1", "yes"])),
+          ]],
         pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
             ws, tmp, "cnn__pheno0.json", lambda doc: doc["config"].update(depth=3))), 4,
             id="cnn-unknown-config-field"),
@@ -636,6 +658,44 @@ def test_malformed_input_exits_cleanly(workspace, tmp_path, capsys, argv, code):
     with one line on stderr, never a traceback."""
     assert main(argv(workspace, tmp_path)) == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _afile(tmp_path, *under) -> str:
+    """tmp_path/afile, a regular file, or a path under it."""
+    _written(tmp_path, "afile", "")
+    return str(tmp_path.joinpath("afile", *under))
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(lambda ws, tmp: _evaluate_argv(
+            ws, _ckpt(ws, "cnn__pheno0.json"), "--out", str(tmp / "nodir" / "x.csv")),
+            "nodir/x.csv", id="evaluate-out-in-missing-dir"),
+        pytest.param(lambda ws, tmp: [
+            "explain", "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json")),
+            "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
+            "--out", _afile(tmp, "x")],
+            "afile", id="explain-out-under-file"),
+        pytest.param(lambda ws, tmp: [
+            "pretrain", "--corpus", str(ws["paths"]["unlabeled"]), "--epochs", "1", "--dim", "4",
+            "--out", str(tmp / "nodir" / "e.txt")], "nodir/e.txt", id="pretrain-out-in-missing-dir"),
+        pytest.param(lambda ws, tmp: [
+            "split", "--corpus", str(ws["paths"]["labeled"]), "--out", _afile(tmp)],
+            "afile", id="split-out-is-file"),
+        pytest.param(lambda ws, tmp: ["generate", "--out", _afile(tmp)], "afile", id="generate-out-is-file"),
+        pytest.param(lambda ws, tmp: _experiment_argv(ws, tmp, output_dir=_afile(tmp)),
+                     "afile", id="run-experiment-output-dir-is-file"),
+        pytest.param(lambda ws, tmp: _experiment_argv(ws, tmp, output_dir=_afile(tmp, "out")),
+                     "afile/out", id="run-experiment-output-dir-under-file"),
+    ],
+)
+def test_unwritable_output_is_config_error(workspace, tmp_path, capsys, argv, named):
+    """An output path that cannot be written: exit 2 with one stderr line naming it."""
+    assert main(argv(workspace, tmp_path)) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot write {tmp_path / named}:")
 
 
 def test_evaluate_reproduces_the_run_experiment_rows(tmp_path):

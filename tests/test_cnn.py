@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from notepheno.cnn import (
+    PROB_CLAMP,
     CnnConfig,
     activate,
     backward,
     forward,
+    forward_batch,
     init_model,
     loss,
     predict,
@@ -136,11 +138,6 @@ class TestForward:
         b = forward(model, [2, 3, 4, 5])
         np.testing.assert_array_equal(a.probs, b.probs)
 
-    def test_train_mode_needs_rng(self):
-        model = tiny_model(dropout_p=0.5)
-        with pytest.raises(ValueError, match="dropout_rng"):
-            forward(model, [2, 3, 4], train_mode=True)
-
 
 class TestLoss:
     def test_half_probability(self):
@@ -246,16 +243,9 @@ class TestBackward:
         assert np.max(np.abs(grads["output_bias"])) < 1e-6
 
     def test_dropped_filter_gets_zero_gradient(self):
-        class FixedRng:
-            def __init__(self, values):
-                self.values = np.asarray(values)
-
-            def random(self, n):
-                return self.values[:n]
-
         model = tiny_model(widths=(2,), filters=3, dropout_p=0.5)
         # keep filters 0 and 2, drop filter 1
-        acts = forward(model, [2, 3, 4], train_mode=True, dropout_rng=FixedRng([0.9, 0.1, 0.9]))
+        acts = forward_batch(model, [[2, 3, 4]], np.array([[0.9, 0.1, 0.9]]))
         assert acts.dropout_mask[0].tolist() == [1.0, 0.0, 1.0]
         grads = backward(model, acts, np.array([1.0]))
         np.testing.assert_array_equal(grads["conv_w2"][1], 0.0)
@@ -371,13 +361,14 @@ class TestTraining:
 class TestPredict:
     def test_zero_model_boundary_convention(self):
         model = zero_model()
-        probs, labels = predict(model, [2, 3, 4], threshold=0.5)
+        probs, labels = predict(model, [2, 3, 4])  # the default threshold, 0.5
         assert probs[0] == 0.5 and labels[0] == 1
 
     def test_threshold_one_never_fires(self):
         model = tiny_model()
         model.output_bias[:] = 100.0
-        _, labels = predict(model, [2, 3, 4], threshold=1.0)
+        model.config.threshold = 1.0 - PROB_CLAMP / 10  # valid, and above the clamped probability
+        _, labels = predict(model, [2, 3, 4])
         assert labels[0] == 0
 
     def test_concurrent_inference_matches_sequential(self):

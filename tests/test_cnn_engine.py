@@ -126,8 +126,9 @@ class TestAgainstOracle:
         model = random_model(n_heads=3, dropout_p=dropout_p)
         ids = ragged_notes(np.random.default_rng(2))[3]
         labels = np.array([1.0, 0.0, 1.0])
-        acts = cnn.forward(model, ids, True, np.random.default_rng(8))
-        got = cnn.backward(model, acts, labels)
+        # a (1, total filters) draw reads the same uniforms as the oracle's draw of total filters
+        draws = np.random.default_rng(8).random((1, model.total_filters)) if dropout_p else None
+        got = cnn.backward(model, cnn.forward_batch(model, [ids], draws), labels)
         want = oracle.backward(model, oracle.forward(model, ids, True, np.random.default_rng(8)), labels)
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
@@ -211,11 +212,14 @@ class TestTrainingAgainstOracle:
                 == oracle.local_salient_phrases_listed(model, vocab, note_id, tokens, "pheno0", 0, 19, variant)
 
     def test_phrase_scores_match_per_note(self, criterion3_runs):
+        # every window the engine scores, a short note's PAD-to-widest ones included
         model = criterion3_runs["runs"]["engine"]["model"]
         vocab = criterion3_runs["vocab"]
         for note_id, tokens in criterion3_runs["documents"][:5] + [("short", ["w1", "w2"])]:
+            acts = cnn.forward(model, vocab.resolve(tokens))
             for variant in saliency.VARIANTS:
-                got = saliency.phrase_scores(model, vocab, tokens, note_id, variant)
+                values = saliency._window_values(model, acts, variant, 0)
+                got = oracle._note_scores(acts, values, 0, tokens, note_id)
                 want = oracle.phrase_scores(model, vocab, tokens, note_id, variant)
                 assert [(s.phrase, s.width, s.position) for s in got] == [
                     (s.phrase, s.width, s.position) for s in want

@@ -64,8 +64,7 @@ class TestTokenize:
 class TestVocabulary:
     def test_threshold(self):
         vocab = build_vocabulary([["a", "a", "b"]], min_count=2)
-        assert vocab.lookup("a") == 2
-        assert vocab.lookup("b") == UNK_ID
+        assert vocab.resolve(["a", "b"]) == [2, UNK_ID]
 
     def test_empty_corpus(self):
         vocab = build_vocabulary([], min_count=1)
@@ -92,8 +91,7 @@ class TestVocabulary:
         assert vocab.id_to_token[UNK_ID] == UNK_TOKEN
         seen = set()
         for tokens in corpus:
-            for tok in tokens:
-                i = vocab.lookup(tok)
+            for tok, i in zip(tokens, vocab.resolve(tokens)):
                 assert i == UNK_ID or i >= 2
                 if i >= 2:
                     assert vocab.id_to_token[i] == tok

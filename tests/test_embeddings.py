@@ -7,7 +7,6 @@ import embeddings_oracle as oracle
 from notepheno.corpus import PAD_ID, build_vocabulary
 from notepheno.embeddings import (
     MIN_LR_FRACTION,
-    EmbeddingMatrix,
     PretrainConfig,
     _block_gradients,
     _epoch_pairs,
@@ -15,7 +14,6 @@ from notepheno.embeddings import (
     _sgns_block_step,
     init_embeddings,
     load_embeddings,
-    nearest_neighbors,
     pretrain_embeddings,
     save_embeddings,
 )
@@ -57,8 +55,7 @@ def trained_synonyms():
 
 
 def _cosine(emb, vocab, a, b):
-    va = emb.vectors[vocab.lookup(a)]
-    vb = emb.vectors[vocab.lookup(b)]
+    va, vb = emb.vectors[vocab.resolve([a, b])]
     return float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
 
 
@@ -89,6 +86,13 @@ class TestPretraining:
             for _ in range(100)
         ]
         assert target > float(np.median(random_cosines))
+
+    def test_synonym_found_after_pretraining(self, trained_synonyms):
+        # "alcohol" is among the 5 real tokens of highest cosine to "etoh"
+        _, vocab, emb = trained_synonyms
+        others = [t for t in vocab.id_to_token[2:] if t != "etoh"]
+        nearest = sorted(others, key=lambda t: -_cosine(emb, vocab, "etoh", t))[:5]
+        assert "alcohol" in nearest
 
     def test_pad_row_stays_zero(self, trained_synonyms):
         _, _, emb = trained_synonyms
@@ -301,39 +305,6 @@ class TestBlockEngine:
                 down = loss()
                 table.flat[i] = orig
                 assert abs((up - down) / (2 * h) - grad.flat[i]) < 1e-7
-
-
-class TestNearestNeighbors:
-    def test_zero_vector_query_warns(self, small_vocab):
-        vectors = np.ones((len(small_vocab), 3))
-        vectors[0] = 0.0
-        vectors[small_vocab.lookup("pt")] = 0.0
-        emb = EmbeddingMatrix(vectors=vectors)
-        with pytest.warns(UserWarning, match="zero embedding"):
-            assert nearest_neighbors(emb, small_vocab, "pt", 3) == []
-
-    def test_two_word_vocabulary_forced_answer(self):
-        vocab = build_vocabulary([["up", "down"]], min_count=1)
-        rng = np.random.default_rng(0)
-        vectors = rng.normal(0, 1, (len(vocab), 4))
-        vectors[0] = 0.0
-        emb = EmbeddingMatrix(vectors=vectors)
-        result = nearest_neighbors(emb, vocab, "up", 1)
-        assert [t for t, _ in result] == ["down"]
-
-    def test_k_larger_than_vocabulary_returns_all(self, small_vocab, small_embeddings):
-        result = nearest_neighbors(small_embeddings, small_vocab, "alcohol", 50)
-        assert len(result) == len(small_vocab) - 3  # minus PAD, UNK, query
-
-    def test_descending_order(self, small_vocab, small_embeddings):
-        result = nearest_neighbors(small_embeddings, small_vocab, "alcohol", 5)
-        cosines = [c for _, c in result]
-        assert cosines == sorted(cosines, reverse=True)
-
-    def test_synonym_found_after_pretraining(self, trained_synonyms):
-        _, vocab, emb = trained_synonyms
-        names = [t for t, _ in nearest_neighbors(emb, vocab, "etoh", 5)]
-        assert "alcohol" in names
 
 
 class TestEmbeddingFile:

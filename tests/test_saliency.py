@@ -7,7 +7,6 @@ from notepheno.embeddings import EmbeddingMatrix
 from notepheno.saliency import (
     global_top_phrases,
     local_salient_phrases,
-    phrase_scores,
     report_to_json,
     report_to_tsv,
     save_report,
@@ -62,69 +61,62 @@ def zero_weight_model():
     return model, vocab
 
 
+def window_scores(model, vocab, tokens, variant="weighted"):
+    """Every distinct phrase of one note with its score, best first (k=100)."""
+    return local_salient_phrases(model, vocab, "n1", tokens, "p", 0, 100, variant).entries
+
+
 class TestPhraseScores:
     def test_zero_convolutions_score_zero(self):
         model, vocab = zero_weight_model()
-        scores = phrase_scores(model, vocab, ["pt", "denies", "heavy", "use"])
-        assert all(s.score == 0.0 for s in scores)
+        with pytest.warns(UserWarning, match="all phrase scores"):
+            scores = window_scores(model, vocab, ["pt", "denies", "heavy", "use"])
+        assert scores and all(s.score == 0.0 for s in scores)
 
     def test_planted_filter_ranks_its_window_first(self, planted):
         model, vocab = planted
-        tokens = ["pt", "alcohol", "abuse", "heavy", "use"]
-        scores = phrase_scores(model, vocab, tokens, note_id="n1")
-        best = max(scores, key=lambda s: s.score)
+        best, *others = window_scores(model, vocab, ["pt", "alcohol", "abuse", "heavy", "use"])
         assert best.phrase == ("alcohol", "abuse")
-        assert best.position == 1
-        others = [s.score for s in scores if s.phrase != ("alcohol", "abuse")]
-        assert all(best.score > o for o in others)
+        assert best.position == 1 and best.note_id == "n1"
+        assert all(best.score > o.score for o in others)
 
+    @pytest.mark.filterwarnings("ignore:all phrase scores")
     def test_score_count_formula(self):
+        # distinct tokens make every window a distinct phrase, so each is reported
         model, vocab = zero_weight_model()
         tokens = ["pt", "denies", "heavy", "use", "chronic"]
-        scores = phrase_scores(model, vocab, tokens)
-        length = len(tokens)
-        expected = sum(length - w + 1 for w in model.config.filter_widths)
-        assert len(scores) == expected
-
-    def test_short_document_counts_padded_windows(self):
-        model, vocab = zero_weight_model()  # widths (2, 3)
-        scores = phrase_scores(model, vocab, ["pt"])  # padded to length 3
-        expected = (3 - 2 + 1) + (3 - 3 + 1)
+        scores = window_scores(model, vocab, tokens)
+        expected = sum(len(tokens) - w + 1 for w in model.config.filter_widths)
         assert len(scores) == expected
 
     def test_norm_variant_is_local(self, planted):
         # the plain bank norm only sees the window itself
         model, vocab = planted
-        a = phrase_scores(model, vocab, ["alcohol", "abuse", "pt", "use"], variant="norm")
-        b = phrase_scores(model, vocab, ["alcohol", "abuse", "chronic", "pain"], variant="norm")
-        assert a[0].score == b[0].score  # the (0, 1) window is untouched
+        a = window_scores(model, vocab, ["alcohol", "abuse", "pt", "use"], variant="norm")
+        b = window_scores(model, vocab, ["alcohol", "abuse", "chronic", "pain"], variant="norm")
+        first_a, first_b = ([s.score for s in scores if s.position == 0] for scores in (a, b))
+        assert first_a == first_b  # the (0, 1) window is untouched
 
     def test_empty_input_rejected(self, planted):
         model, vocab = planted
         with pytest.raises(ValueError):
-            phrase_scores(model, vocab, [])
+            window_scores(model, vocab, [])
 
     def test_unknown_variant_rejected(self, planted):
         model, vocab = planted
         with pytest.raises(ValueError):
-            phrase_scores(model, vocab, ["pt"], variant="gradient")
+            window_scores(model, vocab, ["alcohol", "abuse"], variant="gradient")
 
     def test_weighted_variant_nonnegative(self, planted):
         model, vocab = planted
-        scores = phrase_scores(
-            model, vocab, ["pt", "alcohol", "abuse", "use"], variant="weighted"
-        )
+        scores = window_scores(model, vocab, ["pt", "alcohol", "abuse", "use"], variant="weighted")
         assert all(s.score >= 0.0 for s in scores)
-        best = max(scores, key=lambda s: s.score)
-        assert best.phrase == ("alcohol", "abuse")
+        assert scores[0].phrase == ("alcohol", "abuse")
 
     def test_norm_variant_ranks_planted_window_first(self, planted):
         model, vocab = planted
-        scores = phrase_scores(
-            model, vocab, ["pt", "alcohol", "abuse", "heavy", "use"], variant="norm"
-        )
-        best = max(scores, key=lambda s: s.score)
-        assert best.phrase == ("alcohol", "abuse")
+        scores = window_scores(model, vocab, ["pt", "alcohol", "abuse", "heavy", "use"], variant="norm")
+        assert scores[0].phrase == ("alcohol", "abuse")
 
 
 class TestGlobal:
