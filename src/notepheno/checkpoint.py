@@ -3,14 +3,19 @@
 A checkpoint is one JSON document with sorted keys, so equal models give
 equal bytes. A CNN checkpoint holds the config, head phenotypes, vocabulary
 and parameters; a baseline checkpoint the pipeline record, feature space and
-learner. save() writes a Checkpoint; load() parses a file once and checks it
-against the model it describes; a fault is an OSError, LookupError,
-TypeError, ValueError or RecursionError.
+learner. Every numeric array is one block, {"dtype", "shape", "data"}, whose
+data is the base64 of its little-endian C-order bytes; scalars, the config,
+the vocabulary, the pipeline record and the feature keys are plain JSON.
+save() writes a Checkpoint; load() parses a file once and checks it against
+the model it describes; a fault is an OSError, LookupError, TypeError,
+ValueError or RecursionError.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,10 +27,10 @@ from .corpus import Vocabulary, check_types
 from .embeddings import EmbeddingMatrix
 from .featurize import FeatureKey, FeatureSpace
 
-FORMAT_VERSIONS = {"cnn": 1, "logreg": 2, "random_forest": 2}
+FORMAT_VERSIONS = {"cnn": 2, "logreg": 3, "random_forest": 3}
 # The forest's node arrays and the dtype of each, and its scalar settings.
-FOREST_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int,
-                 "fraction": float, "roots": int}
+FOREST_ARRAYS = {"feature": "int64", "threshold": "float64", "left": "int64", "right": "int64",
+                 "fraction": "float64", "roots": "int64"}
 FOREST_SETTINGS = ("n_features_per_split", "seed", "max_depth", "bootstrap")
 
 
@@ -51,7 +56,8 @@ def save(ckpt: Checkpoint, path: str | Path):
     doc = _cnn_doc(ckpt) if ckpt.kind == "cnn" else _baseline_doc(ckpt)
     doc.update(format_version=FORMAT_VERSIONS[ckpt.kind], kind=ckpt.kind)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True))
+        fh.write("\n")
 
 
 def _cnn_doc(ckpt: Checkpoint) -> dict:
@@ -63,13 +69,21 @@ def _cnn_doc(ckpt: Checkpoint) -> dict:
         "vocabulary": ckpt.vocab.to_dict(),
         "vocab_sha256": ckpt.vocab.sha256(),
         "params": {
-            "embeddings": model.embeddings.vectors.tolist(),
-            "conv_weights": {str(w): model.conv_weights[w].tolist() for w in widths},
-            "conv_biases": {str(w): model.conv_biases[w].tolist() for w in widths},
-            "output_weights": model.output_weights.tolist(),
-            "output_bias": model.output_bias.tolist(),
+            "embeddings": _pack(model.embeddings.vectors),
+            "conv_weights": {str(w): _pack(model.conv_weights[w]) for w in widths},
+            "conv_biases": {str(w): _pack(model.conv_biases[w]) for w in widths},
+            "output_weights": _pack(model.output_weights),
+            "output_bias": _pack(model.output_bias),
         },
     }
+
+
+def _pack(array, dtype: str = "float64") -> dict:
+    """The block of an array: its dtype, shape and the base64 of its
+    little-endian C-order bytes."""
+    data = np.ascontiguousarray(array, dtype=np.dtype(dtype).newbyteorder("<"))
+    encoded = base64.b64encode(data.tobytes()).decode("ascii")
+    return {"dtype": dtype, "shape": list(data.shape), "data": encoded}
 
 
 def _key_to_json(key: FeatureKey) -> list:
@@ -79,28 +93,31 @@ def _key_to_json(key: FeatureKey) -> list:
     return ["ngram", list(key)]
 
 
-def _key_from_json(data) -> FeatureKey:
-    """The key of a ["concept", str, bool] or ["ngram", [str, ...]] item."""
+def _key_from_json(data, pipeline: dict) -> FeatureKey:
+    """The key of a ["concept", str, bool] item of a concept pipeline, or of
+    an ["ngram", [str, ...]] item of an n-gram pipeline's n tokens."""
+    n = pipeline.get("n")
     match data:
-        case ["concept", str() as concept, bool() as negated]:
+        case ["concept", str() as concept, bool() as negated] if n is None:
             return (concept, negated)
-        case ["ngram", [str(), *_] as tokens] if all(isinstance(t, str) for t in tokens):
+        case ["ngram", list() as tokens] if len(tokens) == n and all(isinstance(t, str) for t in tokens):
             return tuple(tokens)
-    raise ValueError(f'feature key {data!r} is neither ["concept", str, bool] nor ["ngram", [str, ...]]')
+    want = f'["ngram", [{n} strings]]' if n else '["concept", str, bool]'
+    raise ValueError(f"feature key {data!r} of a {pipeline['model']} checkpoint is not {want}")
 
 
 def _baseline_doc(ckpt: Checkpoint) -> dict:
     model, space = ckpt.model, ckpt.space
     if ckpt.kind == "logreg":
-        payload = {"weights": model.weights.tolist(), "bias": model.bias, "l2_lambda": model.l2_lambda}
+        payload = {"weights": _pack(model.weights), "bias": model.bias, "l2_lambda": model.l2_lambda}
     else:
         payload = {key: getattr(model, key) for key in FOREST_SETTINGS}
-        payload.update((key, getattr(model, key).tolist()) for key in FOREST_ARRAYS)
+        payload.update((key, _pack(getattr(model, key), dtype)) for key, dtype in FOREST_ARRAYS.items())
     return {
         "pipeline": ckpt.pipeline,
         "feature_space": {
             "features": [_key_to_json(k) for k in space.index_to_feature],
-            "idf": space.idf,
+            "idf": _pack(space.idf),
             "variant": space.variant,
         },
         "model": payload,
@@ -121,10 +138,25 @@ def load(path: str | Path) -> Checkpoint:
     return _load_cnn(doc) if kind == "cnn" else _load_baseline(kind, doc)
 
 
-def _array(values, name: str, shape: tuple) -> np.ndarray:
-    """values as a float array, which must have the given shape and finite entries."""
-    array = np.asarray(values, dtype=float)
-    if array.shape != shape:
+def _array(block, name: str, shape: tuple, dtype: str = "float64") -> np.ndarray:
+    """The array of a block written by _pack, as a writable native-endian
+    copy. The block is checked before the array is built; the array must have
+    the given shape, where an axis of None takes any length, and finite entries."""
+    if not (isinstance(block, dict) and block.keys() == {"dtype", "shape", "data"}):
+        raise ValueError(f"{name} is not an array block with exactly the keys dtype, shape and data")
+    if block["dtype"] != dtype:
+        raise ValueError(f"{name} has dtype {block['dtype']!r}, but the model needs {dtype}")
+    if not (isinstance(block["shape"], list) and all(type(n) is int and n >= 0 for n in block["shape"])):
+        raise ValueError(f"{name} has shape {block['shape']!r}, which is not a list of non-negative ints")
+    try:
+        raw = base64.b64decode(block["data"], validate=True)
+    except (TypeError, ValueError) as exc:  # TypeError: data is not a string
+        raise ValueError(f"{name} data is not a base64 string: {exc}") from exc
+    size = 8 * math.prod(block["shape"])
+    if len(raw) != size:
+        raise ValueError(f"{name} data holds {len(raw)} bytes, but shape {block['shape']} needs {size}")
+    array = np.frombuffer(raw, np.dtype(dtype).newbyteorder("<")).reshape(block["shape"]).astype(dtype)
+    if len(shape) != array.ndim or any(want not in (None, got) for want, got in zip(shape, array.shape)):
         raise ValueError(f"{name} has shape {array.shape}, but the model needs {shape}")
     if not np.isfinite(array).all():
         raise ValueError(f"{name} holds a value that is not a finite number")
@@ -140,10 +172,10 @@ def _load_cnn(doc: dict) -> Checkpoint:
         raise ValueError("vocabulary hash mismatch inside checkpoint")
     params = doc["params"]
     nf, heads, widths = config.filters_per_width, config.n_heads, config.filter_widths
-    embeddings = np.array(params["embeddings"], dtype=float)
-    dim = embeddings.shape[-1] if embeddings.ndim == 2 else "D"
+    embeddings = _array(params["embeddings"], "embeddings", (len(vocab), None))
+    dim = embeddings.shape[1]
     model = CnnModel(
-        embeddings=EmbeddingMatrix(vectors=_array(embeddings, "embeddings", (len(vocab), dim))),
+        embeddings=EmbeddingMatrix(vectors=embeddings),
         conv_weights={
             w: _array(params["conv_weights"][str(w)], f"width-{w} filters", (nf, w, dim)) for w in widths
         },
@@ -163,18 +195,12 @@ def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
     """The six node arrays of a forest payload, checked so that routing ends:
     every node is a leaf or a split on a feature of the space whose children
     both come after it, and the roots are non-empty and index nodes."""
-    arrays = {}
-    for key, dtype in FOREST_ARRAYS.items():
-        values = np.array(payload[key])
-        kinds = "i" if dtype is int else "if"  # an integer list is a float list too
-        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
-            raise ValueError(f"forest {key} must be a flat list of {dtype.__name__}s")
-        arrays[key] = values.astype(dtype)
+    arrays = {key: _array(payload[key], f"forest {key}", (None,), dtype)
+              for key, dtype in FOREST_ARRAYS.items()}
     feature, left, right, roots = (arrays[key] for key in ("feature", "left", "right", "roots"))
     n = len(feature)
     if len({len(values) for key, values in arrays.items() if key != "roots"}) > 1:
         raise ValueError("forest node arrays differ in length")
-    _array(arrays["threshold"], "forest threshold", (n,))
     if not ((arrays["fraction"] >= 0) & (arrays["fraction"] <= 1)).all():
         raise ValueError("forest fraction must lie in [0, 1]")
     index = np.arange(n)
@@ -193,23 +219,27 @@ def _forest_arrays(payload: dict, n_features: int) -> dict[str, np.ndarray]:
 
 
 def _load_baseline(kind: str, doc: dict) -> Checkpoint:
+    pipeline = doc["pipeline"]
+    check_pipeline(kind, pipeline)
     data = doc["feature_space"]
-    keys = [_key_from_json(item) for item in data["features"]]
+    keys = [_key_from_json(item, pipeline) for item in data["features"]]
     index = {k: i for i, k in enumerate(keys)}
     if len(index) != len(keys):
         raise ValueError("the feature space lists a feature key twice")
-    idf = _array(data["idf"], "idf", (len(keys),)).tolist()
-    space = FeatureSpace(index, idf, data["variant"], keys)
+    space = FeatureSpace(index, _array(data["idf"], "idf", (len(keys),)), data["variant"], keys)
     payload = doc["model"]
     if kind == "logreg":
+        bias, l2_lambda = payload["bias"], payload["l2_lambda"]
+        if not (isinstance(bias, float) and math.isfinite(bias)):
+            raise ValueError(f"logistic regression bias {bias!r} is not a finite number")
+        if isinstance(l2_lambda, bool) or not isinstance(l2_lambda, (int, float)):
+            raise ValueError(f"logistic regression l2_lambda {l2_lambda!r} is not a number")
         model = LinearModel(
             weights=_array(payload["weights"], "logistic regression weights", (space.n_features,)),
-            bias=float(_array(payload["bias"], "logistic regression bias", ())),
-            l2_lambda=float(payload["l2_lambda"]),
+            bias=bias,
+            l2_lambda=l2_lambda,
         )
     else:
         settings = {key: payload[key] for key in FOREST_SETTINGS}
         model = Forest(**_forest_arrays(payload, space.n_features), **settings)
-    pipeline = doc["pipeline"]
-    check_pipeline(kind, pipeline)
     return Checkpoint(kind, model, [pipeline["phenotype"]], space=space, pipeline=pipeline)

@@ -340,16 +340,12 @@ def run_job(job: Job, shared: Shared) -> tuple[checkpoint.Checkpoint, dict]:
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run the full protocol described by the config; returns metrics and paths.
 
-    Every input of the jobs is computed before the first job runs. progress,
+    Every input is read and checked before the output directory is made, and
+    every input of the jobs is computed before the first job runs. progress,
     when given, is called with one status string per stage.
     """
     config.validate()
     say = progress or (lambda msg: None)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "checkpoints").mkdir(exist_ok=True)
-    (out_dir / "reports").mkdir(exist_ok=True)
-
     notes = read_notes(config.labeled_path, "labeled corpus")
     if not notes:
         raise DataError(f"labeled corpus {config.labeled_path} is empty")
@@ -369,12 +365,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             f"the split of {len(notes)} notes is {len(train_notes)} train / {len(val_notes)} val / "
             f"{len(test_notes)} test; there are no test notes to score the models on"
         )
-    split_hash = write_split_manifest(out_dir / "split", train_notes, val_notes, test_notes)
-    say(f"split: {len(train_notes)} train / {len(val_notes)} val / {len(test_notes)} test")
-
     tokens_by_id = {n.note_id: tokenize(n.text) for n in notes}
     if "cnn" in config.models:
         require_tokens(notes, [tokens_by_id[n.note_id] for n in notes])
+
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "checkpoints").mkdir(exist_ok=True)
+    (out_dir / "reports").mkdir(exist_ok=True)
+    split_hash = write_split_manifest(out_dir / "split", train_notes, val_notes, test_notes)
+    say(f"split: {len(train_notes)} train / {len(val_notes)} val / {len(test_notes)} test")
+
     unlabeled_tokens = [tokenize(n.text) for n in unlabeled]
     vocab_corpus = unlabeled_tokens + [tokens_by_id[n.note_id] for n in train_notes]
     vocab = build_vocabulary(vocab_corpus, min_count=config.vocab_min_count)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy import sparse
 
 FeatureKey = tuple
@@ -33,7 +34,7 @@ class FeatureSpace:
     """Column assignment for feature keys, with per-column smoothed IDF."""
 
     feature_to_index: dict[FeatureKey, int]
-    idf: list[float] | None = None
+    idf: list[float] | np.ndarray | None = None
     variant: str = IDF_VARIANT
     index_to_feature: list[FeatureKey] = field(default_factory=list, repr=False)
 

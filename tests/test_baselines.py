@@ -213,6 +213,8 @@ class TestCheckpoints:
         loaded = checkpoint.load(path)
         assert loaded.kind == "logreg" and loaded.pipeline == pipeline and loaded.phenotypes == ["p"]
         assert loaded.space.feature_to_index == space.feature_to_index
+        assert loaded.space.idf.tobytes() == np.array(space.idf).tobytes()
+        assert loaded.model.weights.tobytes() == model.weights.tobytes() and loaded.model.bias == model.bias
         assert predict_proba("logreg", loaded.model, X).tolist() == predict_proba("logreg", model, X).tolist()
 
     def test_rf_roundtrip_bit_exact(self, tmp_path):
@@ -225,7 +227,8 @@ class TestCheckpoints:
         checkpoint.save(checkpoint.Checkpoint("random_forest", forest, ["p"], space=space, pipeline=pipeline), path)
         loaded = checkpoint.load(path)
         assert loaded.kind == "random_forest"
-        assert forest_arrays(loaded.model) == forest_arrays(forest)
+        for key in checkpoint.FOREST_ARRAYS:
+            assert getattr(loaded.model, key).tobytes() == getattr(forest, key).tobytes(), key
         assert (predict_proba("random_forest", loaded.model, X).tolist()
                 == predict_proba("random_forest", forest, X).tolist())
 
@@ -252,7 +255,7 @@ class TestCheckpoints:
         doc["model"] = {"trees": [oracle._tree_to_json(t) for t in oracle.grow_forest(X, y, 2, seed=2)],
                         "n_features_per_split": 2, "seed": 2, "max_depth": None, "bootstrap": True}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="format version 1, expected 2"):
+        with pytest.raises(ValueError, match="format version 1, expected 3"):
             checkpoint.load(path)
 
     def test_unknown_kind_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
 import baselines_oracle as oracle
@@ -147,9 +149,11 @@ class TestRunExperiment:
     def test_missing_labeled_corpus_is_data_error(self, tmp_path, workspace):
         config = dict(workspace["config"])
         config["labeled_path"] = str(tmp_path / "missing.jsonl")
+        config["output_dir"] = str(tmp_path / "out")
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["run-experiment", "--config", str(cfg_path)]) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_label_less_phenotype_is_data_error(self, tmp_path, workspace):
         bad_corpus = tmp_path / "bad.jsonl"
@@ -412,16 +416,48 @@ def _tampered(workspace, tmp_path, name, edit) -> str:
     return _written(tmp_path, "tampered.json", json.dumps(doc))
 
 
+def _block(values) -> dict:
+    """The checkpoint array block of values: int64 for an integer array,
+    float64 otherwise, as base64 of the little-endian bytes."""
+    array = np.asarray(values)
+    dtype = "int64" if array.dtype.kind in "iu" else "float64"
+    data = np.ascontiguousarray(array, dtype=np.dtype(dtype).newbyteorder("<"))
+    return {"dtype": dtype, "shape": list(array.shape), "data": base64.b64encode(data.tobytes()).decode()}
+
+
+def _unblock(block) -> np.ndarray:
+    dtype = np.dtype(block["dtype"]).newbyteorder("<")
+    return np.frombuffer(base64.b64decode(block["data"]), dtype).reshape(block["shape"])
+
+
+def _edit_array(owner, key, change):
+    """The array block owner[key] decoded, passed through change and encoded again."""
+    owner[key] = _block(change(_unblock(owner[key]).copy()))
+
+
+def _edit_weights(change):
+    return lambda doc: _edit_array(doc["model"], "weights", change)
+
+
+def _edit_idf(change):
+    return lambda doc: _edit_array(doc["feature_space"], "idf", change)
+
+
+def _with(array, index, value):
+    array[index] = value
+    return array
+
+
 def _as_forest(**arrays):
     """Turn a concept logistic-regression checkpoint into a forest one whose
     node arrays are a split on feature 0 into two leaves, except for arrays."""
     def edit(doc):
         doc["kind"] = "random_forest"
         doc["pipeline"]["model"] = "ctakes-rf"
-        doc["model"] = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
-                        "right": [2, -1, -1], "fraction": [0.0, 0.0, 1.0], "roots": [0],
-                        "n_features_per_split": 1, "seed": 0, "max_depth": None, "bootstrap": True,
-                        **arrays}
+        nodes = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+                 "right": [2, -1, -1], "fraction": [0.0, 0.0, 1.0], "roots": [0], **arrays}
+        doc["model"] = {"n_features_per_split": 1, "seed": 0, "max_depth": None, "bootstrap": True,
+                        **{key: _block(values) for key, values in nodes.items()}}
     return edit
 
 
@@ -461,29 +497,80 @@ def _repeat_first_key(doc):
     then has as many distinct keys as there are weights, and the repeated
     key's column, the last one listed, lies past them."""
     doc["feature_space"]["features"].append(doc["feature_space"]["features"][0])
-    doc["feature_space"]["idf"].append(doc["feature_space"]["idf"][0])
+    _edit_array(doc["feature_space"], "idf", lambda idf: np.append(idf, idf[0]))
 
 
 def _set_first_key(item):
     return lambda doc: doc["feature_space"]["features"].__setitem__(0, item)
 
 
+def _edit_param(change, *path):
+    """Edit the CNN checkpoint array at params[path[0]][path[1]]..."""
+    def edit(doc):
+        owner = doc["params"]
+        for key in path[:-1]:
+            owner = owner[key]
+        _edit_array(owner, path[-1], change)
+    return edit
+
+
 # CNN checkpoints whose arrays or phenotypes do not fit the model's config,
 # vocabulary (one embedding row per token) and heads, whose arrays hold a
-# null (read as NaN), or whose config fields have the wrong type.
+# NaN, or whose config fields have the wrong type; each with the fault its
+# one stderr line must name.
 _BAD_CNN_CHECKPOINTS = {
-    "embeddings-3-rows": lambda doc: doc["params"].update(embeddings=doc["params"]["embeddings"][:3]),
-    "filters-2-of-8": lambda doc: doc["params"]["conv_weights"].update({"2": doc["params"]["conv_weights"]["2"][:2]}),
-    "bias-2-of-8": lambda doc: doc["params"]["conv_biases"].update({"3": [0.0, 0.0]}),
-    "output-weights-3-wide": lambda doc: doc["params"].update(
-        output_weights=[row[:3] for row in doc["params"]["output_weights"]]),
-    "output-bias-2-heads": lambda doc: doc["params"].update(output_bias=[0.0, 0.0]),
-    "phenotypes-2-heads": lambda doc: doc.update(phenotypes=["pheno0", "x"]),
-    "phenotypes-string": lambda doc: doc.update(phenotypes="pheno0"),
-    "output-bias-null": lambda doc: doc["params"].update(output_bias=[None]),
-    "config-filters-float": lambda doc: doc["config"].update(filters_per_width=8.0),
-    "config-heads-float": lambda doc: doc["config"].update(n_heads=1.0),
-    "config-epochs-float": lambda doc: doc["config"].update(epochs=2.5),
+    "embeddings-3-rows": (_edit_param(lambda a: a[:3], "embeddings"), "embeddings has shape (3, 8)"),
+    "filters-2-of-8": (_edit_param(lambda a: a[:2], "conv_weights", "2"), "width-2 filters has shape (2,"),
+    "bias-2-of-8": (_edit_param(lambda a: a[:2], "conv_biases", "3"), "width-3 biases has shape (2,)"),
+    "output-weights-3-wide": (_edit_param(lambda a: a[:, :3], "output_weights"),
+                              "output_weights has shape (1, 3)"),
+    "output-bias-2-heads": (_edit_param(lambda a: np.zeros(2), "output_bias"), "output_bias has shape (2,)"),
+    "phenotypes-2-heads": (lambda doc: doc.update(phenotypes=["pheno0", "x"]),
+                           "phenotypes must be a list of 1"),
+    "phenotypes-string": (lambda doc: doc.update(phenotypes="pheno0"), "phenotypes must be a list of 1"),
+    "output-bias-null": (_edit_param(lambda a: np.full_like(a, np.nan), "output_bias"),
+                         "output_bias holds a value that is not a finite number"),
+    "config-filters-float": (lambda doc: doc["config"].update(filters_per_width=8.0),
+                             "config.filters_per_width"),
+    "config-heads-float": (lambda doc: doc["config"].update(n_heads=1.0), "config.n_heads"),
+    "config-epochs-float": (lambda doc: doc["config"].update(epochs=2.5), "config.epochs"),
+}
+# Forests whose node arrays are scalars, empty, of the wrong dtype, of unequal
+# lengths, not finite or out of range, or do not route to a leaf; and a forest
+# of format version 1. Each with the fault its stderr line must name.
+_BAD_FORESTS = {
+    "trees-int": (_as_forest(feature=5, threshold=5, left=5, right=5, fraction=5, roots=5),
+                  "forest feature has shape (), but the model needs (None,)"),
+    "without-trees": (
+        _as_forest(**{key: np.zeros(0, dtype) for key, dtype in checkpoint.FOREST_ARRAYS.items()}),
+        "the forest's roots must be one or more of its 0 nodes"),
+    "leaf-string": (_as_forest(fraction=[0, 1, 1]), "forest fraction has dtype 'int64', but the model needs"),
+    "feature-out-of-range": (_as_forest(feature=[-1, -1, -1]), "forest node 0 is neither a leaf nor a split"),
+    "child-before-parent": (_as_forest(feature=[-1, 0, -1], left=[-1, 0, -1], right=[-1, 2, -1], roots=[1]),
+                            "forest node 1 is neither a leaf nor a split"),
+    "child-out-of-range": (_as_forest(right=[3, -1, -1]), "forest node 0 is neither a leaf nor a split"),
+    "ragged-arrays": (_as_forest(threshold=[0.5, 0.0]), "forest node arrays differ in length"),
+    "non-integer-index": (_as_forest(left=[1.5, -1, -1]), "forest left has dtype 'float64', but the model needs"),
+    "root-out-of-range": (_as_forest(roots=[3]), "the forest's roots must be one or more of its 3 nodes"),
+    "v1-nested-trees": (_as_v1_forest, "random_forest checkpoint format version 1, expected 3"),
+    "threshold-nan": (_as_forest(threshold=[float("nan"), 0.0, 0.0]),
+                      "forest threshold holds a value that is not a finite number"),
+    "fraction-above-one": (_as_forest(fraction=[0.0, 0.0, 7.0]), "forest fraction must lie in [0, 1]"),
+}
+# Faults of the one-element output_bias block of a CNN checkpoint, with the
+# fault its stderr line must name; a field set to None is dropped.
+_BAD_BLOCKS = {
+    "bad-base64": ({"data": "AAAA!AAA"}, "output_bias data is not a base64 string"),
+    "byte-count": ({"shape": [2]}, "output_bias data holds 8 bytes, but shape [2] needs 16"),
+    "dtype-float32": ({"dtype": "float32"}, "output_bias has dtype 'float32', but the model needs float64"),
+    "dtype-int64": ({"dtype": "int64"}, "output_bias has dtype 'int64'"),
+    "shape-float": ({"shape": [1.0]}, "output_bias has shape [1.0], which is not a list of non-negative"),
+    "shape-negative": ({"shape": [-1]}, "output_bias has shape [-1], which is not"),
+    "shape-string": ({"shape": "1"}, "output_bias has shape '1', which is not"),
+    "data-list": ({"data": [0.0]}, "output_bias data is not a base64 string"),
+    "extra-key": ({"order": "C"}, "output_bias is not an array block with exactly the keys"),
+    "without-shape": ({"shape": None}, "output_bias is not an array block with exactly the keys"),
+    "without-data": ({"data": None}, "output_bias is not an array block with exactly the keys"),
 }
 _BAD_RECORDS = {"list-record": "[1, 2]", "int-text": '{"note_id": "a", "text": 5, "labels": {"pheno0": 1}}',
                 "list-labels": '{"note_id": "a", "text": "x", "labels": [1]}'}
@@ -493,171 +580,177 @@ _DEEP = "[" * 200_000
 _DUPLICATE = "c1\tchest pain\tpheno0\nc1\tchest pain\tpheno0\n"
 
 
+def _case(argv, code, id, says=""):
+    return pytest.param(argv, code, says, id=id)
+
+
+def _tampered_case(model, edit, id, says):
+    """evaluate of the workspace's model checkpoint after its parsed JSON
+    went through edit: exit 4, naming says."""
+    def argv(ws, tmp):
+        extra = ["--dictionary", str(ws["paths"]["dictionary"])] if model.startswith("ctakes") else []
+        return _evaluate_argv(ws, _tampered(ws, tmp, f"{model}__pheno0.json", edit), *extra)
+    return _case(argv, 4, id=id, says=says)
+
+
+def _edit_output_bias(fields):
+    def edit(doc):
+        block = doc["params"]["output_bias"]
+        block.update(fields)
+        for name in [name for name, value in fields.items() if value is None]:
+            del block[name]
+    return edit
+
+
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, says",
     [
-        *[pytest.param(
+        *[_case(
             lambda ws, tmp, rec=rec: _experiment_argv(
                 ws, tmp, labeled_path=_written(tmp, "notes.jsonl", rec + "\n")), 3,
             id=f"run-experiment-{name}") for name, rec in _BAD_RECORDS.items()],
-        *[pytest.param(
+        *[_case(
             lambda ws, tmp, rec=rec: ["evaluate", "--corpus", _written(tmp, "notes.jsonl", rec + "\n"),
                                       "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json"))], 3,
             id=f"evaluate-{name}") for name, rec in _BAD_RECORDS.items()],
-        *[pytest.param(
+        *[_case(
             lambda ws, tmp, value=value, model=model: [
                 "evaluate", "--checkpoint", str(_ckpt(ws, f"{model}__pheno0.json")),
                 "--corpus", _relabeled(ws, tmp, value)], 3,
             id=f"evaluate-{model}-{name}")
           for name, value in _BAD_LABELS.items() for model in ("cnn", "2gram-lr")],
-        pytest.param(lambda ws, tmp: _experiment_argv(
+        _case(lambda ws, tmp: _experiment_argv(
             ws, tmp, unlabeled_path=_written(tmp, "u.jsonl", "{not json\n")), 3,
             id="run-experiment-bad-json-unlabeled"),
-        pytest.param(lambda ws, tmp: _experiment_argv(
+        _case(lambda ws, tmp: _experiment_argv(
             ws, tmp, dictionary_path=_written(tmp, "d.tsv", _ONE_COLUMN)), 3,
             id="run-experiment-one-column-dictionary"),
-        pytest.param(lambda ws, tmp: _experiment_argv(
+        _case(lambda ws, tmp: _experiment_argv(
             ws, tmp, dictionary_path=_written(tmp, "d.tsv", _DUPLICATE)), 3,
             id="run-experiment-duplicate-dictionary"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(
+        _case(lambda ws, tmp: _evaluate_argv(
             ws, _ckpt(ws, "ctakes-lr__pheno0.json"),
             "--dictionary", _written(tmp, "d.tsv", _ONE_COLUMN)), 3,
             id="evaluate-one-column-dictionary"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(
+        _case(lambda ws, tmp: _evaluate_argv(
             ws, _ckpt(ws, "ctakes-lr__pheno0.json"),
             "--dictionary", _written(tmp, "d.tsv", _DUPLICATE)), 3,
             id="evaluate-duplicate-dictionary"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(
+        _case(lambda ws, tmp: _evaluate_argv(
             ws, _ckpt(ws, "ctakes-lr__pheno0.json"),
             "--dictionary", str(tmp / "missing.tsv")), 3,
             id="evaluate-missing-dictionary"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", "[]")), 4,
-                     id="checkpoint-list"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", '"x"')), 4,
-                     id="checkpoint-string"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["pipeline"].pop("n"))), 4,
-            id="pipeline-without-n"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["pipeline"].pop("phenotype"))), 4,
-            id="pipeline-without-phenotype"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc.update(pipeline="2gram-lr"))), 4,
-            id="pipeline-string"),
-        *[pytest.param(lambda ws, tmp, edit=edit: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", edit),
-            "--dictionary", str(ws["paths"]["dictionary"])), 4, id=f"forest-{name}")
-          for name, edit in {
-              "trees-int": _as_forest(feature=5, threshold=5, left=5, right=5, fraction=5, roots=5),
-              "without-trees": _as_forest(feature=[], threshold=[], left=[], right=[],
-                                          fraction=[], roots=[]),
-              "leaf-string": _as_forest(fraction=[0.0, "x", 1.0]),
-              "feature-out-of-range": _as_forest(feature=[-1, -1, -1]),
-              "child-before-parent": _as_forest(feature=[-1, 0, -1], left=[-1, 0, -1],
-                                                right=[-1, 2, -1], roots=[1]),
-              "child-out-of-range": _as_forest(right=[3, -1, -1]),
-              "ragged-arrays": _as_forest(threshold=[0.5, 0.0]),
-              "non-integer-index": _as_forest(left=[1.5, -1, -1]),
-              "root-out-of-range": _as_forest(roots=[3]),
-              "v1-nested-trees": _as_v1_forest,
-              "threshold-nan": _as_forest(threshold=[float("nan"), 0.0, 0.0]),
-              "fraction-above-one": _as_forest(fraction=[0.0, 0.0, 7.0]),
-          }.items()],
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json",
-            lambda doc: doc["model"].update(weights=[doc["model"]["weights"]]))), 4,
-            id="logreg-nested-weights"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json",
-            lambda doc: doc["model"].update(weights=doc["model"]["weights"][1:]))), 4,
-            id="logreg-weight-missing"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["model"]["weights"].__setitem__(0, None))), 4,
-            id="logreg-weight-null"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["model"].update(bias=float("nan")))), 4,
-            id="logreg-bias-nan"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"]["idf"].__setitem__(0, float("nan"))),
-            "--dictionary", str(ws["paths"]["dictionary"])), 4,
-            id="space-idf-nan"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json", lambda doc: doc["feature_space"].update(idf=[])),
-            "--dictionary", str(ws["paths"]["dictionary"])), 4,
-            id="space-without-idf"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "ctakes-lr__pheno0.json",
-            lambda doc: doc["feature_space"].update(idf=["x"] * len(doc["feature_space"]["idf"]))),
-            "--dictionary", str(ws["paths"]["dictionary"])), 4,
-            id="space-idf-strings"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "2gram-lr__pheno0.json", lambda doc: doc["feature_space"]["features"].__setitem__(0, []))), 4,
-            id="space-empty-feature-key"),
-        *[pytest.param(lambda ws, tmp, name=name, edit=edit: _evaluate_argv(
-            ws, _tampered(ws, tmp, name, edit), "--dictionary", str(ws["paths"]["dictionary"])), 4,
-            id=f"space-{case}")
-          for case, name, edit in [
-              ("repeated-ngram-key", "2gram-lr__pheno0.json", _repeat_first_key),
-              ("repeated-concept-key", "ctakes-lr__pheno0.json", _repeat_first_key),
-              ("ngram-key-string", "2gram-lr__pheno0.json", _set_first_key(["ngram", "ab"])),
-              ("ngram-key-empty", "2gram-lr__pheno0.json", _set_first_key(["ngram", []])),
-              ("concept-negation-string", "ctakes-lr__pheno0.json", _set_first_key(["concept", "c1", "yes"])),
-          ]],
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _tampered(
-            ws, tmp, "cnn__pheno0.json", lambda doc: doc["config"].update(depth=3))), 4,
-            id="cnn-unknown-config-field"),
-        *[pytest.param(lambda ws, tmp, edit=edit, command=command: _cnn_argv(
+        _case(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", "[]")), 4,
+              id="checkpoint-list", says="unknown checkpoint kind None"),
+        _case(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", '"x"')), 4,
+              id="checkpoint-string", says="unknown checkpoint kind None"),
+        *[_tampered_case(name, edit, id=case, says=says) for case, name, edit, says in [
+            ("pipeline-without-n", "2gram-lr", lambda doc: doc["pipeline"].pop("n"),
+             "is not a logreg baseline's record"),
+            ("pipeline-without-phenotype", "2gram-lr", lambda doc: doc["pipeline"].pop("phenotype"),
+             "is not a logreg baseline's record"),
+            ("pipeline-string", "2gram-lr", lambda doc: doc.update(pipeline="2gram-lr"),
+             "is not a logreg baseline's record"),
+        ]],
+        *[_tampered_case("ctakes-lr", edit, id=f"forest-{name}", says=says)
+          for name, (edit, says) in _BAD_FORESTS.items()],
+        *[_tampered_case(name, edit, id=case, says=says) for case, name, edit, says in [
+            ("logreg-nested-weights", "2gram-lr", _edit_weights(lambda a: a[None]),
+             "logistic regression weights has shape (1, "),
+            ("logreg-weight-missing", "2gram-lr", _edit_weights(lambda a: a[1:]),
+             "logistic regression weights has shape ("),
+            ("logreg-weight-null", "2gram-lr", _edit_weights(lambda a: _with(a, 0, np.nan)),
+             "logistic regression weights holds a value that is not a finite number"),
+            ("logreg-weights-as-list", "2gram-lr",
+             lambda doc: doc["model"].update(weights=_unblock(doc["model"]["weights"]).tolist()),
+             "logistic regression weights is not an array block"),
+            ("logreg-bias-nan", "2gram-lr", lambda doc: doc["model"].update(bias=float("nan")),
+             "logistic regression bias nan is not a finite number"),
+            ("logreg-format-version-2", "2gram-lr", lambda doc: doc.update(format_version=2),
+             "logreg checkpoint format version 2, expected 3"),
+            ("space-idf-nan", "ctakes-lr", _edit_idf(lambda a: _with(a, 0, np.nan)),
+             "idf holds a value that is not a finite number"),
+            ("space-without-idf", "ctakes-lr", _edit_idf(lambda a: a[:0]), "idf has shape (0,)"),
+            ("space-idf-strings", "ctakes-lr", _edit_idf(lambda a: a.astype(int)),
+             "idf has dtype 'int64', but the model needs float64"),
+            ("space-empty-feature-key", "2gram-lr", _set_first_key([]), "feature key [] of a 2gram-lr checkpoint"),
+            ("space-repeated-ngram-key", "2gram-lr", _repeat_first_key, "lists a feature key twice"),
+            ("space-repeated-concept-key", "ctakes-lr", _repeat_first_key, "lists a feature key twice"),
+            ("space-ngram-key-string", "2gram-lr", _set_first_key(["ngram", "ab"]),
+             'is not ["ngram", [2 strings]]'),
+            ("space-ngram-key-empty", "2gram-lr", _set_first_key(["ngram", []]), 'is not ["ngram", [2 strings]]'),
+            ("space-ngram-key-wrong-n", "2gram-lr", _set_first_key(["ngram", ["zzz", "yyy", "xxx"]]),
+             'is not ["ngram", [2 strings]]'),
+            ("space-concept-key-in-ngram", "2gram-lr", _set_first_key(["concept", "c1", True]),
+             'is not ["ngram", [2 strings]]'),
+            ("space-ngram-key-in-concept", "ctakes-lr", _set_first_key(["ngram", ["c1"]]),
+             'is not ["concept", str, bool]'),
+            ("space-concept-negation-string", "ctakes-lr", _set_first_key(["concept", "c1", "yes"]),
+             'is not ["concept", str, bool]'),
+            ("cnn-unknown-config-field", "cnn", lambda doc: doc["config"].update(depth=3),
+             "unexpected keyword argument 'depth'"),
+            ("cnn-format-version-1", "cnn", lambda doc: doc.update(format_version=1),
+             "cnn checkpoint format version 1, expected 2"),
+        ]],
+        *[_tampered_case("cnn", _edit_output_bias(fields), id=f"cnn-block-{name}", says=says)
+          for name, (fields, says) in _BAD_BLOCKS.items()],
+        *[_case(lambda ws, tmp, edit=edit, command=command: _cnn_argv(
             ws, command, _tampered(ws, tmp, "cnn__pheno0.json", edit), tmp), 4,
-            id=f"{command}-cnn-{name}")
-          for name, edit in _BAD_CNN_CHECKPOINTS.items() for command in ("evaluate", "explain")],
-        pytest.param(lambda ws, tmp: _evaluate_argv(
+            id=f"{command}-cnn-{name}", says=says)
+          for name, (edit, says) in _BAD_CNN_CHECKPOINTS.items() for command in ("evaluate", "explain")],
+        _case(lambda ws, tmp: _evaluate_argv(
             ws, _ckpt(ws, "2gram-lr__pheno0.json"),
             "--phenotype", "pheno1"), 2,
             id="baseline-other-phenotype"),
-        pytest.param(lambda ws, tmp: ["explain", "--checkpoint",
-                                       str(_ckpt(ws, "cnn__pheno0.json")),
-                                       "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
-                                       "--vocab", _written(tmp, "v.json", "[]"), "--out", str(tmp / "r")], 4,
-                     id="explain-vocab-list"),
-        pytest.param(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", _DEEP)), 4,
-                     id="checkpoint-deeply-nested"),
-        pytest.param(lambda ws, tmp: ["explain", "--checkpoint",
-                                       str(_ckpt(ws, "cnn__pheno0.json")),
-                                       "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
-                                       "--vocab", _written(tmp, "v.json", _DEEP), "--out", str(tmp / "r")], 4,
-                     id="explain-vocab-deeply-nested"),
-        pytest.param(lambda ws, tmp: ["split", "--corpus", _written(tmp, "n.jsonl", _DEEP + "\n"),
-                                      "--out", str(tmp / "split")], 3,
-                     id="split-corpus-deeply-nested"),
-        pytest.param(lambda ws, tmp: ["evaluate", "--corpus", _written(tmp, "empty.jsonl", ""),
-                                      "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json"))], 3,
-                     id="evaluate-empty-corpus"),
-        pytest.param(lambda ws, tmp: ["split", "--corpus", _written(tmp, "empty.jsonl", ""),
-                                      "--out", str(tmp / "split")], 3,
-                     id="split-empty-corpus"),
-        pytest.param(lambda ws, tmp: ["pretrain", "--corpus", _written(tmp, "empty.jsonl", ""),
-                                      "--out", str(tmp / "e.txt")], 3,
-                     id="pretrain-empty-corpus"),
-        pytest.param(lambda ws, tmp: ["pretrain", "--corpus", str(ws["paths"]["unlabeled"]),
-                                      "--out", str(tmp / "e.txt"), "--min-count", "0"], 2,
-                     id="pretrain-min-count-zero"),
-        *[pytest.param(lambda ws, tmp, scope=scope: [
+        _case(lambda ws, tmp: ["explain", "--checkpoint",
+                               str(_ckpt(ws, "cnn__pheno0.json")),
+                               "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
+                               "--vocab", _written(tmp, "v.json", "[]"), "--out", str(tmp / "r")], 4,
+              id="explain-vocab-list"),
+        _case(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", _DEEP)), 4,
+              id="checkpoint-deeply-nested"),
+        _case(lambda ws, tmp: ["explain", "--checkpoint",
+                               str(_ckpt(ws, "cnn__pheno0.json")),
+                               "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
+                               "--vocab", _written(tmp, "v.json", _DEEP), "--out", str(tmp / "r")], 4,
+              id="explain-vocab-deeply-nested"),
+        _case(lambda ws, tmp: ["split", "--corpus", _written(tmp, "n.jsonl", _DEEP + "\n"),
+                               "--out", str(tmp / "split")], 3,
+              id="split-corpus-deeply-nested"),
+        _case(lambda ws, tmp: ["evaluate", "--corpus", _written(tmp, "empty.jsonl", ""),
+                               "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json"))], 3,
+              id="evaluate-empty-corpus"),
+        _case(lambda ws, tmp: ["split", "--corpus", _written(tmp, "empty.jsonl", ""),
+                               "--out", str(tmp / "split")], 3,
+              id="split-empty-corpus"),
+        _case(lambda ws, tmp: ["pretrain", "--corpus", _written(tmp, "empty.jsonl", ""),
+                               "--out", str(tmp / "e.txt")], 3,
+              id="pretrain-empty-corpus"),
+        _case(lambda ws, tmp: ["pretrain", "--corpus", str(ws["paths"]["unlabeled"]),
+                               "--out", str(tmp / "e.txt"), "--min-count", "0"], 2,
+              id="pretrain-min-count-zero"),
+        *[_case(lambda ws, tmp, scope=scope: [
             "explain", "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json")),
             "--corpus", _written(tmp, "empty.jsonl", ""), "--phenotype", "pheno0",
             "--scope", scope, "--out", str(tmp / "r")], 3,
             id=f"explain-{scope}-empty-corpus") for scope in ("global", "local")],
-        pytest.param(lambda ws, tmp: _experiment_argv(ws, tmp, labeled_path=_first_notes(ws, tmp, 4)), 3,
-                     id="run-experiment-empty-test-split"),
-        pytest.param(lambda ws, tmp: ["run-experiment", "--config", str(tmp)], 2, id="config-directory"),
-        pytest.param(lambda ws, tmp: ["run-experiment", "--config", _written(tmp, "c.json", b"\xff\xfe")], 2,
-                     id="config-not-utf8"),
+        _case(lambda ws, tmp: _experiment_argv(ws, tmp, labeled_path=_first_notes(ws, tmp, 4)), 3,
+              id="run-experiment-empty-test-split"),
+        _case(lambda ws, tmp: ["run-experiment", "--config", str(tmp)], 2, id="config-directory"),
+        _case(lambda ws, tmp: ["run-experiment", "--config", _written(tmp, "c.json", b"\xff\xfe")], 2,
+              id="config-not-utf8"),
     ],
 )
-def test_malformed_input_exits_cleanly(workspace, tmp_path, capsys, argv, code):
+def test_malformed_input_exits_cleanly(workspace, tmp_path, capsys, argv, code, says):
     """Malformed notes, dictionaries, checkpoints and configs: exit 2, 3 or 4
-    with one line on stderr, never a traceback."""
+    with one line on stderr, never a traceback. A checkpoint case names the
+    check it was written for; a run-experiment that fails on its input leaves
+    no output directory behind."""
     assert main(argv(workspace, tmp_path)) == code
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert says in err
+    assert not (tmp_path / "out").exists()
 
 
 def _afile(tmp_path, *under) -> str:

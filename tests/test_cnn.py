@@ -392,6 +392,9 @@ class TestCheckpoint:
         assert loaded.vocab.id_to_token == vocab.id_to_token
         ids = vocab.resolve(["pt", "denies", "alcohol", "abuse"])
         np.testing.assert_array_equal(forward(model, ids).probs, forward(loaded.model, ids).probs)
+        got = loaded.model.parameters()
+        for name, array in model.parameters().items():
+            assert got[name].dtype == array.dtype and got[name].tobytes() == array.tobytes(), name
 
     def test_double_roundtrip_is_stable(self, tmp_path):
         vocab = build_vocabulary([["a", "b", "c"]], 1)
@@ -406,8 +409,8 @@ class TestCheckpoint:
         path.write_text('{"kind": "svm", "format_version": 1}')
         with pytest.raises(ValueError, match="unknown checkpoint kind 'svm'"):
             checkpoint.load(path)
-        path.write_text('{"kind": "cnn", "format_version": 2}')
-        with pytest.raises(ValueError, match="cnn checkpoint format version 2, expected 1"):
+        path.write_text('{"kind": "cnn", "format_version": 1}')
+        with pytest.raises(ValueError, match="cnn checkpoint format version 1, expected 2"):
             checkpoint.load(path)
 
 

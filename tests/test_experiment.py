@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import notepheno
 from notepheno import checkpoint, concepts, featurize
 from notepheno.experiment import (
     ConfigError,
@@ -263,3 +268,29 @@ class TestDataValidation:
         assert not train_ids & test_ids
         echo = json.loads((out / "config_resolved.json").read_text())
         assert echo["split_manifest_sha256"] == result.split_hash
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """run-experiment in a fresh process writes the same checkpoints and
+    reports with no BLAS thread variable set as with OPENBLAS_NUM_THREADS=1:
+    importing notepheno pins one thread before numpy loads. On a host with
+    one CPU both runs use one thread either way, and this cannot fail."""
+    spec = SyntheticSpec(n_notes=80, vocab_size=300, n_phenotypes=1, phrases_per_phenotype=4,
+                         phrase_length=3, noise_rate=0.0, seed=21)
+    paths = generate_synthetic_corpus(spec, tmp_path / "corpus")
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in blas}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(notepheno.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(threads)}"
+        # 100 filters per width over 50-note batches: GEMMs that a two-thread
+        # OpenBLAS rounds differently from one thread
+        config = base_config(paths, out, phenotypes=["pheno0"], seed=2, pretrain={"dim": 24, "epochs": 1},
+                             cnn={"filters_per_width": 100, "epochs": 1, "batch_size": 50})
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        subprocess.run([sys.executable, "-m", "notepheno.cli", "run-experiment", "--config",
+                        str(tmp_path / "config.json")], env={**env, **threads}, check=True, capture_output=True)
+        outputs.append({path.relative_to(out): path.read_bytes()
+                        for sub in ("checkpoints", "reports") for path in (out / sub).iterdir()})
+    assert outputs[0] == outputs[1]
