@@ -241,5 +241,9 @@ def _load_baseline(kind: str, doc: dict) -> Checkpoint:
         )
     else:
         settings = {key: payload[key] for key in FOREST_SETTINGS}
+        check_types(Forest, settings, "forest ")
+        for key in ("n_features_per_split", "max_depth"):
+            if settings[key] is not None and settings[key] < 1:
+                raise ValueError(f"forest {key} must be >= 1, got {settings[key]}")
         model = Forest(**_forest_arrays(payload, space.n_features), **settings)
     return Checkpoint(kind, model, [pipeline["phenotype"]], space=space, pipeline=pipeline)

@@ -41,13 +41,14 @@ class ConceptEntry:
 class ConceptDictionary:
     """Dictionary entries plus their phrase index, compiled once on construction.
 
-    by_phrase maps each phrase to its sorted concept ids and max_len is the
-    longest phrase's length (0 when empty); neither takes part in == or repr.
+    by_phrase maps each phrase to its sorted concept ids; by_first_token maps
+    each token that starts a phrase to the lengths of the phrases it starts,
+    longest first. Neither takes part in == or repr.
     """
 
     entries: list[ConceptEntry] = field(default_factory=list)
     by_phrase: dict[tuple[str, ...], list[str]] = field(init=False, repr=False, compare=False)
-    max_len: int = field(init=False, repr=False, compare=False)
+    by_first_token: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -60,9 +61,11 @@ class ConceptDictionary:
                 raise ValueError(f"duplicate dictionary entry {key!r}")
             seen.add(key)
             self.by_phrase.setdefault(entry.phrase, []).append(entry.concept_id)
-        for concept_ids in self.by_phrase.values():
+        lengths: dict[str, set[int]] = {}
+        for phrase, concept_ids in self.by_phrase.items():
             concept_ids.sort()
-        self.max_len = max(map(len, self.by_phrase), default=0)
+            lengths.setdefault(phrase[0], set()).add(len(phrase))
+        self.by_first_token = {tok: tuple(sorted(ls, reverse=True)) for tok, ls in lengths.items()}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,21 +107,20 @@ def match_concepts(tokens: list[str], dictionary: ConceptDictionary) -> list[Con
     after it; entries of different concepts sharing that phrase each get a
     mention. Every mention carries its negation flag.
     """
-    by_phrase = dictionary.by_phrase
+    by_phrase, by_first_token = dictionary.by_phrase, dictionary.by_first_token
     mentions: list[ConceptMention] = []
     i = 0
     n = len(tokens)
     while i < n:
-        matched = None
-        for length in range(min(dictionary.max_len, n - i), 0, -1):
-            phrase = tuple(tokens[i : i + length])
-            if phrase in by_phrase:
-                matched = (length, by_phrase[phrase])
-                break
-        if matched is None:
+        concept_ids = None
+        for length in by_first_token.get(tokens[i], ()):
+            if length <= n - i:
+                concept_ids = by_phrase.get(tuple(tokens[i : i + length]))
+                if concept_ids is not None:
+                    break
+        if concept_ids is None:
             i += 1
             continue
-        length, concept_ids = matched
         negated = detect_negation(tokens, (i, i + length))
         for cid in concept_ids:
             mentions.append(ConceptMention(cid, i, i + length, negated))

@@ -22,7 +22,7 @@ UNK_TOKEN = "<unk>"
 
 # Maximal alphanumeric runs, else any single non-space character (underscore
 # counts as punctuation, not as part of a word).
-_TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
+_TOKEN_RE = re.compile(r"[^\W_]+|\S")
 
 
 @dataclass

@@ -8,6 +8,7 @@ becomes one CSR matrix with a row per document and a column per fitted key.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,8 @@ def extract_ngrams(tokens: list[str], n: int) -> dict[tuple, int]:
     """Counts of every contiguous n-token window; empty for short inputs."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    counts: dict[tuple, int] = {}
-    for i in range(len(tokens) - n + 1):
-        key = tuple(tokens[i : i + n])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    # keys in first-seen order, as the column assignment relies on
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 @dataclass

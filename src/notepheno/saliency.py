@@ -166,6 +166,10 @@ def global_top_phrases(
         any_positive = True
         docs = rows[positives]
         found = _windows(_window_values(model, acts, variant, head), positives, docs, n_tokens[docs])
+        if len(kept[0]) == k:
+            # A window scoring below the k-th kept phrase has k better distinct
+            # phrases ahead of it; ties still compete (and a NaN is never cut).
+            found = tuple(column[~(found[0] < kept[0][-1])] for column in found)
         kept = _top_k(tuple(np.concatenate(pair) for pair in zip(kept, found)), documents, doc_rank, k)
     if not any_positive:
         warnings.warn(

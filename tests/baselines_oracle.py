@@ -6,25 +6,75 @@ count_transform and tfidf_transform turn one note's counts into a
 predict_rf read such dicts one note at a time. TreeNode, _grow_tree, _route,
 _tree_to_json and _tree_from_json are the recursive forest and its v1
 checkpoint form; grow_forest and route_forest are the forest parts of the
-former train_rf and predict_proba. All of these are the former
-implementations, unchanged apart from imports. flatten lays TreeNode trees out
-as baselines.Forest's node arrays. tests/test_featurize.py and
-tests/test_baselines.py check featurize.transform, baselines.train_rf and
-baselines.predict_proba against them.
+former train_rf and predict_proba. TOKEN_RE, extract_ngrams and
+match_concepts are the former tokenizer regex, n-gram loop and concept scan,
+which tried every phrase length up to the dictionary's longest at every
+token. All of these are the former implementations, unchanged apart from
+imports and the scan computing that longest length itself. flatten lays
+TreeNode trees out as baselines.Forest's node arrays. tests/test_featurize.py,
+tests/test_baselines.py, tests/test_corpus.py and tests/test_concepts.py check
+featurize.transform, featurize.extract_ngrams, baselines.train_rf,
+baselines.predict_proba, corpus.tokenize and concepts.match_concepts against
+them.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from notepheno.baselines import LinearModel, _best_split
+from notepheno.concepts import ConceptDictionary, ConceptMention, detect_negation
 from notepheno.featurize import FeatureKey, FeatureSpace
 
 FeatureVector = dict[int, float]
+
+TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
+
+
+def extract_ngrams(tokens: list[str], n: int) -> dict[tuple, int]:
+    """Counts of every contiguous n-token window; empty for short inputs."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    counts: dict[tuple, int] = {}
+    for i in range(len(tokens) - n + 1):
+        key = tuple(tokens[i : i + n])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def match_concepts(tokens: list[str], dictionary: ConceptDictionary) -> list[ConceptMention]:
+    """Longest-match-first, left-to-right, non-overlapping dictionary scan.
+
+    At each position the longest matching phrase wins and the scan resumes
+    after it; entries of different concepts sharing that phrase each get a
+    mention. Every mention carries its negation flag.
+    """
+    by_phrase = dictionary.by_phrase
+    max_len = max(map(len, by_phrase), default=0)
+    mentions: list[ConceptMention] = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        matched = None
+        for length in range(min(max_len, n - i), 0, -1):
+            phrase = tuple(tokens[i : i + length])
+            if phrase in by_phrase:
+                matched = (length, by_phrase[phrase])
+                break
+        if matched is None:
+            i += 1
+            continue
+        length, concept_ids = matched
+        negated = detect_negation(tokens, (i, i + length))
+        for cid in concept_ids:
+            mentions.append(ConceptMention(cid, i, i + length, negated))
+        i += length
+    return mentions
 
 
 def count_transform(counts: dict[FeatureKey, int], space: FeatureSpace) -> FeatureVector:

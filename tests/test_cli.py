@@ -461,6 +461,14 @@ def _as_forest(**arrays):
     return edit
 
 
+def _forest_setting(key, value):
+    """The forest checkpoint of _as_forest with one scalar setting set to value."""
+    def edit(doc):
+        _as_forest()(doc)
+        doc["model"][key] = value
+    return edit
+
+
 def _as_v1_forest(doc):
     """The nested-trees forest checkpoint of format version 1."""
     _as_forest()(doc)
@@ -536,7 +544,8 @@ _BAD_CNN_CHECKPOINTS = {
     "config-epochs-float": (lambda doc: doc["config"].update(epochs=2.5), "config.epochs"),
 }
 # Forests whose node arrays are scalars, empty, of the wrong dtype, of unequal
-# lengths, not finite or out of range, or do not route to a leaf; and a forest
+# lengths, not finite or out of range, or do not route to a leaf; forests whose
+# scalar settings have the wrong JSON type or are out of range; and a forest
 # of format version 1. Each with the fault its stderr line must name.
 _BAD_FORESTS = {
     "trees-int": (_as_forest(feature=5, threshold=5, left=5, right=5, fraction=5, roots=5),
@@ -556,6 +565,14 @@ _BAD_FORESTS = {
     "threshold-nan": (_as_forest(threshold=[float("nan"), 0.0, 0.0]),
                       "forest threshold holds a value that is not a finite number"),
     "fraction-above-one": (_as_forest(fraction=[0.0, 0.0, 7.0]), "forest fraction must lie in [0, 1]"),
+    "max-depth-string": (_forest_setting("max_depth", "deep"), 'forest max_depth must be int or null, got "deep"'),
+    "bootstrap-list": (_forest_setting("bootstrap", [1]), "forest bootstrap must be bool, got [1]"),
+    "seed-null": (_forest_setting("seed", None), "forest seed must be int, got null"),
+    "features-per-split-object": (_forest_setting("n_features_per_split", {"a": 1}),
+                                  'forest n_features_per_split must be int, got {"a": 1}'),
+    "max-depth-zero": (_forest_setting("max_depth", 0), "forest max_depth must be >= 1, got 0"),
+    "features-per-split-zero": (_forest_setting("n_features_per_split", 0),
+                                "forest n_features_per_split must be >= 1, got 0"),
 }
 # Faults of the one-element output_bias block of a CNN checkpoint, with the
 # fault its stderr line must name; a field set to None is dropped.

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import baselines_oracle as oracle
 from notepheno.concepts import (
     NEGATION_TRIGGERS,
     NEGATION_WINDOW,
@@ -218,3 +219,33 @@ def test_negation_agrees_with_brute_force(tokens):
     )
     for mention in match_concepts(tokens, d):
         assert mention.negated == brute_force_negated(tokens, (mention.start, mention.end))
+
+
+# Dictionary and note tokens: phrase words that start, end or sit inside
+# several phrases, and words of every negation trigger and scope breaker.
+_WORDS = ["a", "b", "c", "d", "no", "negative", "for", "ruled", "out", "r", "/", "o", ".", "but"]
+
+
+@st.composite
+def _dictionaries(draw):
+    """Entries of 1-4 token phrases, each with some of its prefixes, and
+    phrases listed under several concept ids."""
+    phrases = set()
+    for phrase in draw(st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4), max_size=6)):
+        phrases.add(tuple(phrase))
+        phrases.update(tuple(phrase[:cut]) for cut in draw(st.sets(st.integers(1, len(phrase)))))
+    entries = []
+    for phrase in sorted(phrases):
+        for cid in sorted(draw(st.sets(st.sampled_from(["C1", "C2", "C3"]), min_size=1))):
+            entries.append(ConceptEntry(cid, phrase))
+    return ConceptDictionary(entries=draw(st.permutations(entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dictionaries(), st.lists(st.sampled_from(_WORDS), max_size=25))
+@example(ConceptDictionary(entries=[entry("C1", "a b c"), entry("C2", "a b"), entry("C1", "a")]),
+         ["no", "a", "b", "a", "b", "c", "a", "b"])
+def test_matches_equal_the_oracle_scan(dictionary, tokens):
+    """The first-token index finds the mentions the every-length scan found:
+    the same spans, concept ids and negation flags, in the same order."""
+    assert match_concepts(tokens, dictionary) == oracle.match_concepts(tokens, dictionary)

@@ -2,9 +2,10 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import baselines_oracle as oracle
 from notepheno.corpus import (
     PAD_ID,
     PAD_TOKEN,
@@ -26,6 +27,16 @@ ascii_text = st.text(
 
 
 class TestTokenize:
+    @settings(max_examples=500)
+    @given(st.text(max_size=60))
+    @example("snake_case x_1 __init__")
+    @example("\x1c\x1d\x1e\x1fa\x85b\u2028c")
+    @example("x² ٣٤ ﬁle Ǆ 𝟘 ⅷ")
+    def test_tokens_equal_the_oracle_regex(self, text):
+        """An alphanumeric run, else one non-space character: the two-branch
+        pattern splits any Unicode text as the three-branch one did."""
+        assert tokenize(text) == oracle.TOKEN_RE.findall(text.lower())
+
     def test_clinical_sentence(self):
         assert tokenize("CHF with EF 30.") == ["chf", "with", "ef", "30", "."]
 

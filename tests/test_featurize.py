@@ -34,6 +34,15 @@ class TestNgrams:
         with pytest.raises(ValueError):
             extract_ngrams(["a"], 0)
 
+    @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=12), st.integers(1, 4))
+    @example(tokens=["a", "b"], n=3)
+    def test_counts_equal_the_oracle_loop(self, tokens, n):
+        """The same keys in the same first-seen order, with the same int counts."""
+        got = extract_ngrams(tokens, n)
+        want = oracle.extract_ngrams(tokens, n)
+        assert list(got.items()) == list(want.items())
+        assert all(type(count) is int for count in got.values())
+
 
 class TestIdf:
     def test_single_document(self):
