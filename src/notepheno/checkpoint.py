@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import Forest, LinearModel, check_pipeline
 from .cnn import CnnConfig, CnnModel
-from .corpus import Vocabulary, check_types
+from .corpus import Vocabulary, build_settings, check_types
 from .embeddings import EmbeddingMatrix
 from .featurize import FeatureKey, FeatureSpace
 
@@ -164,9 +164,7 @@ def _array(block, name: str, shape: tuple, dtype: str = "float64") -> np.ndarray
 
 
 def _load_cnn(doc: dict) -> Checkpoint:
-    config = CnnConfig(**doc["config"])
-    check_types(CnnConfig, doc["config"], "config.")
-    config.validate()
+    config = build_settings(CnnConfig, doc["config"], "config")
     vocab = Vocabulary.from_dict(doc["vocabulary"])
     if vocab.sha256() != doc["vocab_sha256"]:
         raise ValueError("vocabulary hash mismatch inside checkpoint")

@@ -10,15 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 from . import checkpoint, metrics, saliency
-from .corpus import SplitSpec, Vocabulary, build_vocabulary, split_dataset, tokenize, write_split_manifest
+from .corpus import (
+    SplitSpec, Vocabulary, build_settings, build_vocabulary, split_dataset, tokenize, write_split_manifest,
+)
 from .embeddings import PretrainConfig, pretrain_embeddings, save_embeddings
 from .experiment import (
     MODEL_NAMES,
     ConfigError,
     DataError,
+    ExperimentConfig,
     ModelLoadError,
     load_experiment_config,
     predict_labels,
@@ -36,21 +41,46 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
 
+# The settings flags of the standalone commands: (flag, settings field[, help]).
+# Each flag takes its type and default from the field.
+GENERATE_FLAGS = (
+    ("--n-notes", "n_notes"), ("--vocab-size", "vocab_size"), ("--n-phenotypes", "n_phenotypes"),
+    ("--variants", "phrases_per_phenotype", "synonym phrasings per phenotype"),
+    ("--phrase-length", "phrase_length"), ("--noise", "noise_rate", "label flip rate"), ("--seed", "seed"),
+)
+PRETRAIN_FLAGS = (("--dim", "dim"), ("--window", "window"), ("--negatives", "negatives"),
+                  ("--epochs", "epochs"), ("--lr", "learning_rate"), ("--seed", "seed"))
+SPLIT_FLAGS = (("--train-frac", "train_fraction"), ("--val-frac", "val_fraction"),
+               ("--test-frac", "test_fraction"), ("--seed", "seed"))
 
-def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_notes=args.n_notes,
-        vocab_size=args.vocab_size,
-        n_phenotypes=args.n_phenotypes,
-        phrases_per_phenotype=args.variants,
-        phrase_length=args.phrase_length,
-        noise_rate=args.noise,
-        seed=args.seed,
-    )
+
+def _add_flags(parser, cls, table):
+    """Add each flag of table, typed and defaulted by its field of cls."""
+    hints = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    for flag, name, *help in table:
+        parser.add_argument(flag, dest=name, type=hints[name], default=defaults[name],
+                            help=help[0] if help else None)
+
+
+def _settings(cls, table, args):
+    """The checked settings of the flags of table (exit 2 on a fault)."""
     try:
-        spec.validate()
+        return build_settings(cls, {name: getattr(args, name) for _, name, *_ in table})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _read_corpus(path):
+    """The notes of a --corpus file, of which there must be some (exit 3 otherwise)."""
+    notes = read_notes(path)
+    if not notes:
+        raise DataError(f"corpus {path} is empty")
+    return notes
+
+
+def cmd_generate(args) -> int:
+    spec = _settings(SyntheticSpec, GENERATE_FLAGS, args)
     paths = generate_synthetic_corpus(spec, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -58,25 +88,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = PretrainConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.min_count < 1:
-        raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
-    notes = read_notes(args.corpus)
-    if not notes:
-        raise DataError(f"corpus {args.corpus} is empty")
-    corpus = [tokenize(n.text) for n in notes]
-    vocab = build_vocabulary(corpus, min_count=args.min_count)
+    cfg = _settings(PretrainConfig, PRETRAIN_FLAGS, args)
+    if args.vocab_min_count < 1:
+        raise ConfigError(f"--min-count must be >= 1, got {args.vocab_min_count}")
+    corpus = [tokenize(n.text) for n in _read_corpus(args.corpus)]
+    vocab = build_vocabulary(corpus, min_count=args.vocab_min_count)
     emb = pretrain_embeddings(corpus, vocab, cfg)
     save_embeddings(emb, vocab, args.out)
     print(f"embeddings: {args.out} ({len(vocab)} tokens, dim {cfg.dim})")
@@ -84,20 +100,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_split(args) -> int:
-    notes = read_notes(args.corpus)
-    if not notes:
-        raise DataError(f"corpus {args.corpus} is empty")
-    spec = SplitSpec(
-        train_fraction=args.train_frac,
-        val_fraction=args.val_frac,
-        test_fraction=args.test_frac,
-        seed=args.seed,
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    train, val, test = split_dataset(notes, spec)
+    notes = _read_corpus(args.corpus)
+    train, val, test = split_dataset(notes, _settings(SplitSpec, SPLIT_FLAGS, args))
     manifest_hash = write_split_manifest(args.out, train, val, test)
     print(f"split sizes: {len(train)} train / {len(val)} val / {len(test)} test")
     print(f"manifest sha256: {manifest_hash}")
@@ -157,9 +161,7 @@ def _read_checkpoint(path: str) -> checkpoint.Checkpoint:
 
 def cmd_evaluate(args) -> int:
     ckpt = _read_checkpoint(args.checkpoint)
-    notes = read_notes(args.corpus)
-    if not notes:
-        raise DataError(f"corpus {args.corpus} is empty")
+    notes = _read_corpus(args.corpus)
     trained = ckpt.phenotypes
     targets = [args.phenotype] if args.phenotype else trained
     for phenotype in targets:
@@ -213,9 +215,7 @@ def cmd_explain(args) -> int:
     if args.top_k < 1:
         raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     head = phenotypes.index(args.phenotype)
-    notes = read_notes(args.corpus)
-    if not notes:
-        raise DataError(f"corpus {args.corpus} is empty")
+    notes = _read_corpus(args.corpus)
 
     if args.scope == "global":
         documents = [(n.note_id, tokenize(n.text)) for n in notes]
@@ -256,34 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic planted-phrase corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-notes", type=int, default=200)
-    p.add_argument("--vocab-size", type=int, default=100)
-    p.add_argument("--n-phenotypes", type=int, default=1)
-    p.add_argument("--variants", type=int, default=1, help="synonym phrasings per phenotype")
-    p.add_argument("--phrase-length", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.0, help="label flip rate")
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, SyntheticSpec, GENERATE_FLAGS)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("pretrain", help="pretrain word embeddings on an unlabeled corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="embedding text file to write")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, PretrainConfig, PRETRAIN_FLAGS)
+    _add_flags(p, ExperimentConfig, [("--min-count", "vocab_min_count")])
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("split", help="write a deterministic train/val/test split manifest")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="directory for train.ids/val.ids/test.ids")
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--test-frac", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, SplitSpec, SPLIT_FLAGS)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one model from an experiment config")

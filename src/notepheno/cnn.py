@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 
 from .corpus import PAD_ID, require_finite
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, _scatter_add
 from .metrics import confusion, f1
 from .optim import AdadeltaState, adadelta_step
 
@@ -368,7 +368,7 @@ def backward_batch(
     d_embedded = scatter @ taps_weights  # (notes * positions, dim)
 
     table = grads["embeddings"]
-    np.add.at(table, acts.ids.ravel(), d_embedded)
+    _scatter_add(table, acts.ids, d_embedded)
     table[PAD_ID] = 0.0
     return grads
 

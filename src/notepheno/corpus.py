@@ -38,8 +38,9 @@ class Note:
     labels: dict[str, int] | None = None
 
     def __post_init__(self):
-        if not self.note_id:
-            raise ValueError("note_id must be non-empty")
+        # a note id is one line of a split manifest
+        if self.note_id.splitlines() != [self.note_id]:
+            raise ValueError(f"note_id {self.note_id!r} must be non-empty and hold no line break")
         if self.labels is not None:
             for name, value in self.labels.items():
                 if isinstance(value, bool) or not isinstance(value, numbers.Real) or value not in (0, 1):
@@ -88,17 +89,21 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        tokens = list(data["tokens"])
+        """Inverse of to_dict: distinct string tokens from PAD and UNK, an int min_count >= 1."""
+        tokens, min_count = data["tokens"], data["min_count"]
+        if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
+            raise ValueError("vocabulary tokens must be a list of strings")
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError("vocabulary file does not start with PAD/UNK rows")
-        return cls(
-            id_to_token=tokens,
-            token_to_id={tok: i for i, tok in enumerate(tokens)},
-            min_count=int(data["min_count"]),
-        )
+        token_to_id = {tok: i for i, tok in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):
+            raise ValueError("vocabulary lists a token twice")
+        if type(min_count) is not int or min_count < 1:
+            raise ValueError(f"vocabulary min_count must be an int >= 1, got {min_count!r}")
+        return cls(id_to_token=tokens, token_to_id=token_to_id, min_count=min_count)
 
 
-def build_vocabulary(corpus: list[list[str]], min_count: int = 2) -> Vocabulary:
+def build_vocabulary(corpus: list[list[str]], min_count: int) -> Vocabulary:
     """Build a vocabulary keeping tokens with corpus frequency >= min_count.
 
     Kept tokens receive ids >= 2 in descending-frequency order, ties broken
@@ -164,6 +169,22 @@ def check_types(cls, body: dict, where: str) -> None:
             )
 
 
+def build_settings(cls, values, section: str = ""):
+    """The settings dataclass cls(**values), its fields' types and its validate()
+    checked; any fault is a ValueError (or validate()'s own error). section,
+    say "cnn" for a config's cnn section, prefixes the field names it reports."""
+    what = f"{section} section" if section else "config"
+    if not isinstance(values, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    check_types(cls, values, f"{section}." if section else "")
+    try:
+        settings = cls(**values)
+    except TypeError as exc:  # an unknown or a missing field
+        raise ValueError(f"bad {what}: {exc}") from exc
+    settings.validate()
+    return settings
+
+
 @dataclass
 class SplitSpec:
     """Train/validation/test fractions plus the shuffle seed."""
@@ -223,9 +244,10 @@ def load_notes_jsonl(path: str | Path) -> list[Note]:
     """Read newline-delimited note records (note_id, text, optional labels).
 
     A record that is not an object with a note_id, a string text and an object
-    (or null) of 0/1 labels is a ValueError naming path:line. A label must be
-    a JSON number equal to 0 or 1 (so 1.0 reads as 1); a bool, a string or
-    any other number is rejected, never rounded.
+    (or null) of 0/1 labels is a ValueError naming path:line. A note_id is a
+    non-empty string without a line break, or an integer (not a bool) read as
+    its decimal string. A label must be a JSON number equal to 0 or 1 (so 1.0
+    reads as 1); a bool, a string or any other number is rejected, never rounded.
     """
     notes = []
     seen = set()
@@ -245,8 +267,12 @@ def load_notes_jsonl(path: str | Path) -> list[Note]:
                 raise ValueError(f"{path}:{lineno}: text must be a string, got {type(text).__name__}")
             if labels is not None and not isinstance(labels, dict):
                 raise ValueError(f"{path}:{lineno}: labels must be a JSON object, got {type(labels).__name__}")
+            note_id = record["note_id"]
+            if type(note_id) not in (str, int):  # a bool is not an int here
+                raise ValueError(f"{path}:{lineno}: note_id must be a string or an integer, "
+                                 f"got {type(note_id).__name__}")
             try:
-                note = Note(note_id=str(record["note_id"]), text=text, labels=labels)
+                note = Note(note_id=str(note_id), text=text, labels=labels)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if note.note_id in seen:

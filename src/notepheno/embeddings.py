@@ -68,11 +68,15 @@ class EmbeddingMatrix:
 
 def init_embeddings(vocab_size: int, dim: int, seed: int) -> EmbeddingMatrix:
     """Seeded uniform init in [-0.5/dim, +0.5/dim] with a zeroed PAD row."""
-    rng = np.random.default_rng(seed)
+    return EmbeddingMatrix(vectors=_uniform_rows(np.random.default_rng(seed), vocab_size, dim))
+
+
+def _uniform_rows(rng: np.random.Generator, vocab_size: int, dim: int) -> np.ndarray:
+    """init_embeddings' rows, drawn from rng."""
     bound = 0.5 / dim
     vectors = rng.uniform(-bound, bound, size=(vocab_size, dim))
     vectors[PAD_ID] = 0.0
-    return EmbeddingMatrix(vectors=vectors)
+    return vectors
 
 
 def _log_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -154,11 +158,12 @@ def _block_gradients(
     return loss, d_centers, d_targets
 
 
-def _scatter_subtract(table: np.ndarray, rows: np.ndarray, deltas: np.ndarray):
-    """table[rows] -= deltas, summing repeated rows, through the flat view of table."""
+def _scatter_add(table: np.ndarray, rows: np.ndarray, deltas: np.ndarray):
+    """np.add.at(table, rows, deltas), bit for bit but faster, through the flat
+    view of a C-contiguous table."""
     dim = table.shape[1]
     flat_index = rows.reshape(-1, 1) * dim + np.arange(dim)
-    np.subtract.at(table.reshape(-1), flat_index.reshape(-1), deltas.reshape(-1))
+    np.add.at(table.reshape(-1), flat_index.reshape(-1), deltas.reshape(-1))
 
 
 def _sgns_block_step(
@@ -172,10 +177,11 @@ def _sgns_block_step(
 ) -> float:
     """One SGD step on a block of pairs, in place; returns the block's loss."""
     loss, d_centers, d_targets = _block_gradients(w_in, w_out, centers, targets, kept, with_loss)
-    d_centers *= lrs[:, None]
-    d_targets *= lrs[:, None, None]
-    _scatter_subtract(w_in, centers, d_centers)
-    _scatter_subtract(w_out, targets, d_targets)
+    # adding the deltas scaled by -lr writes the bytes of subtracting them scaled by lr
+    d_centers *= -lrs[:, None]
+    d_targets *= -lrs[:, None, None]
+    _scatter_add(w_in, centers, d_centers)
+    _scatter_add(w_out, targets, d_targets)
     return loss
 
 
@@ -196,10 +202,8 @@ def pretrain_embeddings(
     receives the mean per-pair loss of each epoch.
     """
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    bound = 0.5 / cfg.dim
-    w_in = rng.uniform(-bound, bound, size=(len(vocab), cfg.dim))
-    w_in[PAD_ID] = 0.0
+    rng = np.random.default_rng(cfg.seed)  # draws the init, then every epoch's windows and negatives
+    w_in = _uniform_rows(rng, len(vocab), cfg.dim)
     w_out = np.zeros((len(vocab), cfg.dim))
 
     id_sequences = [vocab.resolve(tokens) for tokens in corpus]

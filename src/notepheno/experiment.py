@@ -21,8 +21,8 @@ from .corpus import (
     Note,
     SplitSpec,
     Vocabulary,
+    build_settings,
     build_vocabulary,
-    check_types,
     load_notes_jsonl,
     require_finite,
     split_dataset,
@@ -198,32 +198,16 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k not in _SECTION_TYPES}
+    for (section, key), why in _DERIVED_FIELDS.items():
+        if isinstance(data.get(section), dict) and key in data[section]:
+            raise ConfigError(f"{section}.{key} cannot be set: {why}")
     try:
-        check_types(ExperimentConfig, kwargs, "")
-        for section, cls in _SECTION_TYPES.items():
-            if section in data:
-                if not isinstance(data[section], dict):
-                    raise ConfigError(f"config section {section!r} must be a JSON object")
-                body = data[section]
-                check_types(cls, body, f"{section}.")
-                for key in body:
-                    if (section, key) in _DERIVED_FIELDS:
-                        raise ConfigError(
-                            f"{section}.{key} cannot be set: {_DERIVED_FIELDS[section, key]}"
-                        )
-                try:
-                    kwargs[section] = cls(**body)
-                except TypeError as exc:
-                    raise ConfigError(f"bad {section} section: {exc}") from exc
-    except ValueError as exc:  # a field of the wrong type
+        return build_settings(ExperimentConfig, {
+            key: build_settings(_SECTION_TYPES[key], value, key) if key in _SECTION_TYPES else value
+            for key, value in data.items()
+        })
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-    config.validate()
-    return config
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

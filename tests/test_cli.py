@@ -1,5 +1,6 @@
 import base64
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ import pytest
 import baselines_oracle as oracle
 from notepheno import baselines, checkpoint
 from notepheno.cli import main
-from notepheno.corpus import Note, load_notes_jsonl, save_notes_jsonl
-from notepheno.embeddings import load_embeddings
+from notepheno.corpus import (
+    Note, SplitSpec, build_vocabulary, load_notes_jsonl, save_notes_jsonl, split_dataset, tokenize,
+)
+from notepheno.embeddings import PretrainConfig, load_embeddings, pretrain_embeddings, save_embeddings
+from notepheno.experiment import ExperimentConfig
 from notepheno.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 
@@ -52,6 +56,11 @@ class TestGenerate:
     def test_bad_noise_rate_is_config_error(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path), "--noise", "0.9"]) == 2
 
+    def test_default_flags_are_the_spec_defaults(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path / "cli")]) == 0
+        for path in generate_synthetic_corpus(SyntheticSpec(), tmp_path / "api").values():
+            assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+
 
 class TestPretrainCommand:
     def test_writes_loadable_embeddings(self, tmp_path, workspace):
@@ -79,6 +88,17 @@ class TestPretrainCommand:
         assert "learning_rate" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_default_flags_are_the_config_defaults(self, tmp_path, workspace):
+        """--min-count defaults to the experiment config's vocab_min_count."""
+        corpus, out = workspace["paths"]["unlabeled"], tmp_path / "cli.txt"
+        assert main(["pretrain", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]) == 0
+        min_count = {f.name: f.default for f in fields(ExperimentConfig)}["vocab_min_count"]
+        token_lists = [tokenize(note.text) for note in load_notes_jsonl(corpus)]
+        vocab = build_vocabulary(token_lists, min_count)
+        emb = pretrain_embeddings(token_lists, vocab, PretrainConfig(epochs=1))
+        save_embeddings(emb, vocab, tmp_path / "api.txt")
+        assert out.read_bytes() == (tmp_path / "api.txt").read_bytes()
+
 
 class TestSplitCommand:
     def test_writes_manifest(self, tmp_path, workspace):
@@ -94,6 +114,13 @@ class TestSplitCommand:
         code = main(["split", "--corpus", str(workspace["paths"]["labeled"]),
                      "--out", str(tmp_path), "--train-frac", "0.9"])
         assert code == 2
+
+    def test_default_flags_are_the_spec_defaults(self, tmp_path, workspace):
+        corpus = workspace["paths"]["labeled"]
+        assert main(["split", "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
+        parts = split_dataset(load_notes_jsonl(corpus), SplitSpec())
+        for name, part in zip(("train", "val", "test"), parts):
+            assert (tmp_path / f"{name}.ids").read_text() == "".join(note.note_id + "\n" for note in part)
 
 
 class TestRunExperiment:
@@ -543,6 +570,20 @@ _BAD_CNN_CHECKPOINTS = {
     "config-heads-float": (lambda doc: doc["config"].update(n_heads=1.0), "config.n_heads"),
     "config-epochs-float": (lambda doc: doc["config"].update(epochs=2.5), "config.epochs"),
 }
+# Vocabularies that are not a list of distinct strings with an int min_count
+# of at least 1, each with the fault its one stderr line must name: as an
+# explain --vocab file and as a CNN checkpoint's vocabulary.
+_BAD_VOCABULARIES = {
+    "int-token": ({"tokens": ["<pad>", "<unk>", 5], "min_count": 1}, "vocabulary tokens must be a list of strings"),
+    "tokens-string": ({"tokens": "<pad> <unk>", "min_count": 1}, "vocabulary tokens must be a list of strings"),
+    "repeated-token": ({"tokens": ["<pad>", "<unk>", "a", "a"], "min_count": 1}, "vocabulary lists a token twice"),
+    "min-count-float": ({"tokens": ["<pad>", "<unk>"], "min_count": 2.5},
+                        "vocabulary min_count must be an int >= 1, got 2.5"),
+    "min-count-true": ({"tokens": ["<pad>", "<unk>"], "min_count": True},
+                       "vocabulary min_count must be an int >= 1, got True"),
+    "min-count-zero": ({"tokens": ["<pad>", "<unk>"], "min_count": 0},
+                       "vocabulary min_count must be an int >= 1, got 0"),
+}
 # Forests whose node arrays are scalars, empty, of the wrong dtype, of unequal
 # lengths, not finite or out of range, or do not route to a leaf; forests whose
 # scalar settings have the wrong JSON type or are out of range; and a forest
@@ -724,6 +765,18 @@ def _edit_output_bias(fields):
                                "--corpus", str(ws["paths"]["labeled"]), "--phenotype", "pheno0",
                                "--vocab", _written(tmp, "v.json", "[]"), "--out", str(tmp / "r")], 4,
               id="explain-vocab-list"),
+        *[_case(lambda ws, tmp, vocab=vocab: [
+            "explain", "--checkpoint", str(_ckpt(ws, "cnn__pheno0.json")), "--corpus", str(ws["paths"]["labeled"]),
+            "--phenotype", "pheno0", "--vocab", _written(tmp, "v.json", json.dumps(vocab)), "--out", str(tmp / "r")],
+            4, id=f"explain-vocab-{name}", says=says) for name, (vocab, says) in _BAD_VOCABULARIES.items()],
+        *[_tampered_case("cnn", lambda doc, vocab=vocab: doc.update(vocabulary=vocab), id=f"cnn-vocabulary-{name}",
+                         says=says) for name, (vocab, says) in _BAD_VOCABULARIES.items()],
+        _case(lambda ws, tmp: ["split", "--corpus", _written(tmp, "n.jsonl", "".join(
+            json.dumps({"note_id": note_id, "text": "x"}) + "\n" for note_id in ["a\nb", *"cdefghijk"])),
+            "--out", str(tmp / "split")], 3, id="split-note-id-line-break", says="n.jsonl:1: note_id"),
+        _case(lambda ws, tmp: ["split", "--corpus", _written(tmp, "n.jsonl", "".join(
+            json.dumps({"note_id": note_id, "text": "x"}) + "\n" for note_id in ["a", None])),
+            "--out", str(tmp / "split")], 3, id="split-note-id-null", says="n.jsonl:2: note_id"),
         _case(lambda ws, tmp: _evaluate_argv(ws, _written(tmp, "c.json", _DEEP)), 4,
               id="checkpoint-deeply-nested"),
         _case(lambda ws, tmp: ["explain", "--checkpoint",

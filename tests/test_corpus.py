@@ -181,15 +181,25 @@ class TestNoteIO:
          {"note_id": "a", "text": "x", "labels": {"p": 2}},
          {"note_id": "a", "text": "x", "labels": {"p": 0.7}},
          {"note_id": "a", "text": "x", "labels": {"p": "1"}},
-         {"note_id": "a", "text": "x", "labels": {"p": True}}],
+         {"note_id": "a", "text": "x", "labels": {"p": True}},
+         {"note_id": None, "text": "x"}, {"note_id": True, "text": "x"}, {"note_id": 1.5, "text": "x"},
+         {"note_id": {"x": 1}, "text": "x"}, {"note_id": ["a"], "text": "x"},
+         {"note_id": "a\nb", "text": "x"}, {"note_id": "a\r\nb", "text": "x"},
+         {"note_id": "a\u2028b", "text": "x"}],
         ids=["list", "no-id", "int-text", "no-text", "list-labels", "null-label", "label-2",
-             "label-0.7", "label-string", "label-true"],
+             "label-0.7", "label-string", "label-true", "id-null", "id-true", "id-float", "id-object",
+             "id-list", "id-newline", "id-crlf", "id-line-separator"],
     )
     def test_mistyped_record_names_its_line(self, tmp_path, record):
         path = tmp_path / "notes.jsonl"
         path.write_text(json.dumps({"note_id": "ok", "text": "fine"}) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             load_notes_jsonl(path)
+
+    def test_integer_note_id_reads_as_its_decimal_string(self, tmp_path):
+        path = tmp_path / "notes.jsonl"
+        path.write_text(json.dumps({"note_id": 7, "text": "x"}) + "\n" + json.dumps({"note_id": -12, "text": "y"}))
+        assert [note.note_id for note in load_notes_jsonl(path)] == ["7", "-12"]
 
     def test_float_labels_equal_to_0_or_1_read_as_ints(self, tmp_path):
         path = tmp_path / "notes.jsonl"

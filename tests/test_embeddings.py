@@ -11,6 +11,7 @@ from notepheno.embeddings import (
     _block_gradients,
     _epoch_pairs,
     _negative_sampling_cdf,
+    _scatter_add,
     _sgns_block_step,
     init_embeddings,
     load_embeddings,
@@ -305,6 +306,36 @@ class TestBlockEngine:
                 down = loss()
                 table.flat[i] = orig
                 assert abs((up - down) / (2 * h) - grad.flat[i]) < 1e-7
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    dim=st.integers(1, 5),
+    shape=st.sampled_from([(7,), (3, 4), (2, 1)]),
+    data=st.data(),
+)
+def test_scatter_add_is_the_2d_add_at_bit_for_bit(n_rows, dim, shape, data):
+    """The flat scatter both trainers use equals np.add.at on the 2-D table
+    bit for bit, repeated rows summed in the same order, and adding negated
+    deltas equals np.subtract.at."""
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=int(np.prod(shape)),
+                                       max_size=int(np.prod(shape))))).reshape(shape)
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    deltas = np.array(data.draw(st.lists(floats, min_size=rows.size * dim, max_size=rows.size * dim)))
+    deltas = deltas.reshape(*shape, dim)
+    start = np.array(data.draw(st.lists(floats, min_size=n_rows * dim, max_size=n_rows * dim)))
+    start = start.reshape(n_rows, dim)
+
+    flat, expected = start.copy(), start.copy()
+    _scatter_add(flat, rows, deltas)
+    np.add.at(expected, rows.ravel(), deltas.reshape(-1, dim))
+    assert flat.tobytes() == expected.tobytes()
+
+    flat, expected = start.copy(), start.copy()
+    _scatter_add(flat, rows, -deltas)
+    np.subtract.at(expected, rows.ravel(), deltas.reshape(-1, dim))
+    assert flat.tobytes() == expected.tobytes()
 
 
 class TestEmbeddingFile:
