@@ -96,6 +96,12 @@ class LinearModel:
     l2_lambda: float
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-logits)); an exp that overflows gives inf, and so the exact 0.0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
 def logreg_objective_and_grads(
     weights: np.ndarray,
     bias: float,
@@ -111,7 +117,7 @@ def logreg_objective_and_grads(
     """
     n = X.shape[0]
     logits = X @ weights + bias
-    p = 1.0 / (1.0 + np.exp(-logits))
+    p = _sigmoid(logits)
     eps = 1e-12
     nll = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
     objective = nll + 0.5 * l2_lambda * float(weights @ weights)
@@ -293,7 +299,7 @@ def predict_proba(kind: str, model: LinearModel | Forest, X: sparse.csr_matrix) 
     always in [0, 1].
     """
     if kind == "logreg":
-        return 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
+        return _sigmoid(X @ model.weights + model.bias)
     n_trees = len(model.roots)
     if not n_trees:
         raise ValueError("cannot predict with an empty forest")

@@ -80,8 +80,11 @@ def _cnn_doc(ckpt: Checkpoint) -> dict:
 
 def _pack(array, dtype: str = "float64") -> dict:
     """The block of an array: its dtype, shape and the base64 of its
-    little-endian C-order bytes."""
+    little-endian C-order bytes. A value that is not finite, which load()
+    refuses, is a ValueError."""
     data = np.ascontiguousarray(array, dtype=np.dtype(dtype).newbyteorder("<"))
+    if not np.isfinite(data).all():
+        raise ValueError("cannot save an array that holds a value that is not a finite number")
     encoded = base64.b64encode(data.tobytes()).decode("ascii")
     return {"dtype": dtype, "shape": list(data.shape), "data": encoded}
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import checkpoint, metrics, saliency
@@ -93,7 +93,10 @@ def cmd_pretrain(args) -> int:
         raise ConfigError(f"--min-count must be >= 1, got {args.vocab_min_count}")
     corpus = [tokenize(n.text) for n in _read_corpus(args.corpus)]
     vocab = build_vocabulary(corpus, min_count=args.vocab_min_count)
-    emb = pretrain_embeddings(corpus, vocab, cfg)
+    try:
+        emb = pretrain_embeddings(corpus, vocab, cfg)
+    except ValueError as exc:  # a diverged run
+        raise ConfigError(str(exc)) from exc
     save_embeddings(emb, vocab, args.out)
     print(f"embeddings: {args.out} ({len(vocab)} tokens, dim {cfg.dim})")
     return EXIT_OK
@@ -110,21 +113,15 @@ def cmd_split(args) -> int:
 
 def _config_with_overrides(args, models=None, phenotypes=None):
     config = load_experiment_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        config.output_dir = args.out
-    if getattr(args, "multilabel", False):
-        config.multilabel = True
-    if models is not None:
-        config.models = models
     if phenotypes is not None:
         unknown = [p for p in phenotypes if p not in config.phenotypes]
         if unknown:
             raise ConfigError(f"phenotypes {unknown} not in the config's phenotype list")
-        config.phenotypes = phenotypes
-    config.validate()
-    return config
+    # an override left unset (None, or --multilabel off) keeps the config's value
+    overrides = {"seed": getattr(args, "seed", None), "output_dir": getattr(args, "out", None),
+                 "multilabel": getattr(args, "multilabel", False) or None,
+                 "models": models, "phenotypes": phenotypes}
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def cmd_train(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 
-from .corpus import PAD_ID, require_finite
+from .corpus import PAD_ID, Settings
 from .embeddings import EmbeddingMatrix, _scatter_add
 from .metrics import confusion, f1
 from .optim import AdadeltaState, adadelta_step
@@ -35,8 +35,8 @@ INIT_BOUND = 0.01
 GROUP_ELEMENTS = 300_000
 
 
-@dataclass
-class CnnConfig:
+@dataclass(frozen=True)
+class CnnConfig(Settings):
     filter_widths: tuple[int, ...] = (2, 3, 4, 5)
     filters_per_width: int = 100
     dropout_p: float = 0.5
@@ -51,10 +51,10 @@ class CnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.filter_widths = tuple(self.filter_widths)
+        object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
+        super().__post_init__()
 
     def validate(self):
-        require_finite(self)
         widths = self.filter_widths
         if not widths or len(set(widths)) != len(widths) or any(w < 1 for w in widths):
             raise ValueError(f"filter widths must be distinct and >= 1, got {widths}")
@@ -129,7 +129,6 @@ class TrainHistory:
 
 def init_model(config: CnnConfig, embeddings: EmbeddingMatrix) -> CnnModel:
     """Fresh model around a (copied) embedding table; uniform [-0.01, 0.01] weights."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     dim = embeddings.dim
     conv_weights = {}
@@ -397,6 +396,7 @@ def apply_max_norm(emb: EmbeddingMatrix, max_norm: float) -> EmbeddingMatrix:
     return emb
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness checks report a diverged run
 def train(
     model: CnnModel,
     train_data: list[tuple[list[int], np.ndarray]],
@@ -413,10 +413,11 @@ def train(
     note order. After every optimizer step the embedding max-norm constraint
     is re-applied and step_callback(model, epoch, step) fires if given.
     History records the mean train loss and per-head validation F1 of each
-    epoch. The final-epoch model is returned (no early stopping).
+    epoch. The final-epoch model is returned (no early stopping). A step loss
+    that is not finite, or a parameter that is not finite after the last
+    epoch, is a ValueError naming the epoch.
     """
     cfg = model.config
-    cfg.validate()
     for ids, labels in train_data:
         if len(labels) != cfg.n_heads:
             raise ValueError(
@@ -442,6 +443,8 @@ def train(
             for rows, acts in forward_groups(model, [train_data[i][0] for i in batch], draws):
                 note_losses[rows] = _note_losses(acts.probs, labels[rows])
                 backward_batch(model, acts, labels[rows], grads)
+            if not np.isfinite(note_losses).all():
+                raise ValueError(f"CNN training diverged at epoch {epoch + 1}")
             epoch_losses.extend(note_losses)
             for g in grads.values():
                 g /= len(batch)
@@ -451,6 +454,9 @@ def train(
                 step_callback(model, epoch, step)
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_f1.append(_validation_f1(model, val_data) if val_data else None)
+    # an infinite parameter can still give finite, clamped losses
+    if not all(np.isfinite(p).all() for p in params.values()):
+        raise ValueError(f"CNN training diverged at epoch {cfg.epochs}")
     return model, history
 
 

@@ -169,24 +169,32 @@ def check_types(cls, body: dict, where: str) -> None:
             )
 
 
+@dataclass(frozen=True)
+class Settings:
+    """A frozen settings dataclass, checked by require_finite and then its own
+    validate() whenever one is built, a dataclasses.replace() copy included."""
+
+    def __post_init__(self):
+        require_finite(self)
+        self.validate()
+
+
 def build_settings(cls, values, section: str = ""):
-    """The settings dataclass cls(**values), its fields' types and its validate()
-    checked; any fault is a ValueError (or validate()'s own error). section,
-    say "cnn" for a config's cnn section, prefixes the field names it reports."""
+    """The Settings subclass cls(**values), its fields' types checked first;
+    any fault is a ValueError (or validate()'s own error). section, say "cnn"
+    for a config's cnn section, prefixes the field names it reports."""
     what = f"{section} section" if section else "config"
     if not isinstance(values, dict):
         raise ValueError(f"{what} must be a JSON object")
     check_types(cls, values, f"{section}." if section else "")
     try:
-        settings = cls(**values)
+        return cls(**values)
     except TypeError as exc:  # an unknown or a missing field
         raise ValueError(f"bad {what}: {exc}") from exc
-    settings.validate()
-    return settings
 
 
-@dataclass
-class SplitSpec:
+@dataclass(frozen=True)
+class SplitSpec(Settings):
     """Train/validation/test fractions plus the shuffle seed."""
 
     train_fraction: float = 0.7
@@ -195,7 +203,6 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self):
-        require_finite(self)
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f <= 0 for f in fracs):
             raise ValueError(f"split fractions must be positive, got {fracs}")
@@ -212,7 +219,6 @@ def split_dataset(
     (its floor share plus any remainder). The shuffle is a seeded uniform
     permutation, so identical inputs and seeds give identical partitions.
     """
-    spec.validate()
     if not notes:
         raise ValueError("cannot split an empty note list")
     ids = [n.note_id for n in notes]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PAD_ID, PAD_TOKEN, Vocabulary, require_finite
+from .corpus import PAD_ID, PAD_TOKEN, Settings, Vocabulary
 
 NEGATIVE_SAMPLING_POWER = 0.75
 MIN_LR_FRACTION = 1e-4
@@ -25,8 +25,8 @@ MIN_LR_FRACTION = 1e-4
 SGNS_BLOCK_PAIRS = 32
 
 
-@dataclass
-class PretrainConfig:
+@dataclass(frozen=True)
+class PretrainConfig(Settings):
     dim: int = 100
     window: int = 5
     negatives: int = 5
@@ -35,7 +35,6 @@ class PretrainConfig:
     seed: int = 0
 
     def validate(self):
-        require_finite(self)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.window < 1:
@@ -46,6 +45,8 @@ class PretrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -185,6 +186,7 @@ def _sgns_block_step(
     return loss
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the epoch check reports a diverged run
 def pretrain_embeddings(
     corpus: list[list[str]],
     vocab: Vocabulary,
@@ -199,9 +201,9 @@ def pretrain_embeddings(
     SGNS_BLOCK_PAIRS, and every pair of a block is updated from the
     parameters at the start of the block. With epochs=0 the seeded random
     initialization is returned unchanged. An optional loss_history list
-    receives the mean per-pair loss of each epoch.
+    receives the mean per-pair loss of each epoch. A table that is not finite
+    after an epoch is a ValueError naming the epoch.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)  # draws the init, then every epoch's windows and negatives
     w_in = _uniform_rows(rng, len(vocab), cfg.dim)
     w_out = np.zeros((len(vocab), cfg.dim))
@@ -230,6 +232,8 @@ def pretrain_embeddings(
                 w_in, w_out, centers[lo:hi], np.concatenate([context, draws], axis=1),
                 draws != context, lrs[lo:hi], with_loss,
             )
+        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+            raise ValueError(f"pretraining diverged at epoch {epoch + 1}; lower pretrain.learning_rate")
         if with_loss:
             loss_history.append(epoch_loss / max(len(centers), 1))
         del centers, contexts, lrs  # free this epoch's pairs before the next epoch's are built

@@ -19,17 +19,17 @@ import numpy as np
 from . import baselines, checkpoint, cnn, concepts, featurize, metrics
 from .corpus import (
     Note,
+    Settings,
     SplitSpec,
     Vocabulary,
     build_settings,
     build_vocabulary,
     load_notes_jsonl,
-    require_finite,
     split_dataset,
     tokenize,
     write_split_manifest,
 )
-from .embeddings import EmbeddingMatrix, PretrainConfig, init_embeddings, pretrain_embeddings, save_embeddings
+from .embeddings import EmbeddingMatrix, PretrainConfig, pretrain_embeddings, save_embeddings
 
 MODEL_NAMES = ("cnn", *baselines.MODELS)
 CONCEPT_MODELS = {
@@ -112,15 +112,14 @@ def derive_seed(root_seed: int, component: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass
-class BaselineConfig:
+@dataclass(frozen=True)
+class BaselineConfig(Settings):
     logreg_l2_lambda: float = 1.0
     rf_n_trees: int = 100
     rf_max_depth: int | None = None
     rf_n_features_per_split: int | None = None  # None -> ceil(sqrt(D))
 
     def validate(self):
-        require_finite(self)
         if self.rf_n_trees < 1:
             raise ValueError(f"rf_n_trees must be >= 1, got {self.rf_n_trees}")
         for name in ("rf_max_depth", "rf_n_features_per_split"):
@@ -129,8 +128,8 @@ class BaselineConfig:
                 raise ValueError(f"{name} must be null or >= 1, got {value}")
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(Settings):
     labeled_path: str
     output_dir: str
     phenotypes: list[str]
@@ -169,13 +168,6 @@ class ExperimentConfig:
         needs_dict = any(m in CONCEPT_MODELS for m in self.models)
         if needs_dict and not self.dictionary_path:
             raise ConfigError("concept-based models need a dictionary_path")
-        try:
-            self.split.validate()
-            self.pretrain.validate()
-            self.cnn.validate()
-            self.baselines.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 _SECTION_TYPES = {
@@ -290,9 +282,12 @@ def run_job(job: Job, shared: Shared) -> tuple[checkpoint.Checkpoint, dict]:
             ]
 
         cfg = replace(shared.config.cnn, n_heads=len(heads), seed=job.seed)
-        model, _ = cnn.train(
-            cnn.init_model(cfg, shared.embeddings), data_for(train_notes), data_for(val_notes)
-        )
+        try:
+            model, _ = cnn.train(
+                cnn.init_model(cfg, shared.embeddings), data_for(train_notes), data_for(val_notes)
+            )
+        except ValueError as exc:  # a diverged run
+            raise ConfigError(str(exc)) from exc
         trained = checkpoint.Checkpoint("cnn", model, heads, vocab=shared.vocab)
     else:
         kind = baselines.MODELS[job.model][0]
@@ -328,7 +323,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     every input of the jobs is computed before the first job runs. progress,
     when given, is called with one status string per stage.
     """
-    config.validate()
     say = progress or (lambda msg: None)
     notes = read_notes(config.labeled_path, "labeled corpus")
     if not notes:
@@ -373,9 +367,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
         derived_seeds["pretrain"] = pretrain_cfg.seed
         if unlabeled and pretrain_cfg.epochs > 0:
             say(f"pretraining embeddings on {len(unlabeled)} unlabeled notes")
+        try:  # without notes or epochs, the seeded init_embeddings table
             emb = pretrain_embeddings(unlabeled_tokens, vocab, pretrain_cfg)
-        else:
-            emb = init_embeddings(len(vocab), pretrain_cfg.dim, pretrain_cfg.seed)
+        except ValueError as exc:  # a diverged run
+            raise ConfigError(str(exc)) from exc
         save_embeddings(emb, vocab, out_dir / "embeddings.txt")
 
     jobs = plan(config)

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .concepts import ConceptDictionary, ConceptEntry, save_dictionary
-from .corpus import Note, require_finite, save_notes_jsonl
+from .corpus import Note, Settings, save_notes_jsonl
 
 
-@dataclass
-class SyntheticSpec:
+@dataclass(frozen=True)
+class SyntheticSpec(Settings):
     n_notes: int = 200
     vocab_size: int = 100
     n_phenotypes: int = 1
@@ -35,7 +35,6 @@ class SyntheticSpec:
     n_unlabeled: int | None = None  # defaults to n_notes
 
     def validate(self):
-        require_finite(self)
         if self.n_notes < 1 or self.vocab_size < 1 or self.n_phenotypes < 1:
             raise ValueError("n_notes, vocab_size, and n_phenotypes must be positive")
         if self.phrases_per_phenotype < 1 or self.phrase_length < 1:
@@ -52,6 +51,8 @@ class SyntheticSpec:
             raise ValueError("min_note_tokens must be >= phrase_length")
         if self.max_note_tokens < self.min_note_tokens:
             raise ValueError("max_note_tokens must be >= min_note_tokens")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def phenotype_names(spec: SyntheticSpec) -> list[str]:
@@ -120,7 +121,6 @@ def generate_labeled_notes(spec: SyntheticSpec) -> list[Note]:
     use a separate random stream, so the same seed with and without noise
     produces the same underlying notes.
     """
-    spec.validate()
     rng_text = np.random.default_rng([spec.seed, 1])
     rng_noise = np.random.default_rng([spec.seed, 2])
     phrases = planted_phrases(spec)
@@ -139,7 +139,6 @@ def generate_labeled_notes(spec: SyntheticSpec) -> list[Note]:
 
 def generate_unlabeled_notes(spec: SyntheticSpec) -> list[Note]:
     """Pretraining notes from the same distribution, labels omitted."""
-    spec.validate()
     rng_text = np.random.default_rng([spec.seed, 3])
     count = spec.n_unlabeled if spec.n_unlabeled is not None else spec.n_notes
     return [

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestLogreg:
     def test_sigmoid_analytic_value(self):
         model = LinearModel(weights=np.array([np.log(3.0)]), bias=0.0, l2_lambda=0.0)
         assert lr_probs(model, [{0: 1.0}])[0] == pytest.approx(0.75)
+
+    def test_an_overflowing_logit_gives_zero_without_a_warning(self):
+        model = LinearModel(weights=np.array([1.0]), bias=0.0, l2_lambda=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lr_probs(model, [{0: -1000.0}]).tolist() == [0.0]
 
     def test_monotone_in_positive_weight(self):
         model = LinearModel(weights=np.array([0.7, -0.2]), bias=0.1, l2_lambda=0.0)

@@ -85,6 +85,18 @@ def test_save_of_a_loaded_checkpoint_writes_its_bytes(run, name, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["cnn", "2gram-lr", "ctakes-rf"])
+def test_an_array_that_is_not_finite_is_never_saved(run, name, tmp_path):
+    """save() refuses what load() refuses, before it opens the file."""
+    ckpt = checkpoint.load(run["ckpts"] / f"{name}__pheno0.json")
+    array = {"cnn": lambda: ckpt.model.embeddings.vectors, "2gram-lr": lambda: ckpt.model.weights,
+             "ctakes-rf": lambda: ckpt.model.threshold}[name]()
+    array[-1] = np.nan
+    with pytest.raises(ValueError, match="cannot save an array that holds a value that is not a finite number"):
+        checkpoint.save(ckpt, tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()
+
+
 # Values a parsed node is replaced with: every JSON type, a NaN, and an
 # integer too large for a float.
 _RETYPES = [None, True, 0, -1, 1.5, float("nan"), 10**400, "x", "", [], [1], {}, {"a": 1}]

@@ -1,5 +1,6 @@
 import base64
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -411,6 +412,34 @@ def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override)
     assert main(["run-experiment", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        pytest.param(lambda ws, tmp: ["generate", "--out", str(tmp / "out"), "--seed", "-1"],
+                     "seed must be >= 0, got -1", id="generate-negative-seed"),
+        pytest.param(lambda ws, tmp: ["pretrain", "--corpus", str(ws["paths"]["unlabeled"]),
+                                      "--out", str(tmp / "out"), "--seed", "-1"],
+                     "seed must be >= 0, got -1", id="pretrain-negative-seed"),
+        pytest.param(lambda ws, tmp: ["pretrain", "--corpus", str(ws["paths"]["unlabeled"]), "--out", str(tmp / "out"),
+                                      "--lr", "1e300", "--dim", "4", "--epochs", "1"],
+                     "pretraining diverged at epoch 1; lower pretrain.learning_rate", id="pretrain-diverged"),
+        pytest.param(lambda ws, tmp: _experiment_argv(
+            ws, tmp, models=["cnn"], pretrain={"dim": 4, "epochs": 1, "learning_rate": 1e300}),
+            "pretraining diverged at epoch 1; lower pretrain.learning_rate", id="run-experiment-diverged"),
+    ],
+)
+def test_bad_settings_exit_2_with_one_line_and_write_no_model(workspace, tmp_path, capsys, argv, says):
+    """A negative seed or a diverged run: exit 2 with one stderr line and no
+    RuntimeWarning; no embeddings or checkpoint file is written."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv(workspace, tmp_path)) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {says}"
+    out = tmp_path / "out"  # pretrain's --out names a file, run-experiment's a directory
+    assert out.is_dir() or not out.exists()
+    assert not (out / "embeddings.txt").exists() and not list(out.glob("checkpoints/*"))
 
 
 def _ckpt(workspace, name):

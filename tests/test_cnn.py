@@ -1,5 +1,7 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +287,20 @@ def planted_training_data(n_notes=200, seed=4):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("param, epochs, epoch", [("output_weights", 3, 1), ("output_bias", 2, 2)])
+    def test_a_diverged_run_is_an_error_naming_the_epoch(self, param, epochs, epoch):
+        """Infinite output weights give NaN losses in the first step; an
+        infinite bias gives clamped, finite losses, and only the check of
+        the parameters after the last epoch finds it."""
+        model = tiny_model()
+        model.config = replace(model.config, epochs=epochs)
+        getattr(model, param)[:] = np.inf
+        data = [([2, 3, 4], np.array([1.0])), ([5, 6], np.array([0.0]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^CNN training diverged at epoch {epoch}$"):
+                train(model, data)
+
     def test_zero_epochs_is_identity(self):
         vocab, data = planted_training_data(n_notes=20)
         cfg = CnnConfig(filter_widths=(2,), filters_per_width=2, epochs=0, seed=1)
@@ -367,7 +383,7 @@ class TestPredict:
     def test_threshold_one_never_fires(self):
         model = tiny_model()
         model.output_bias[:] = 100.0
-        model.config.threshold = 1.0 - PROB_CLAMP / 10  # valid, and above the clamped probability
+        model.config = replace(model.config, threshold=1.0 - PROB_CLAMP / 10)  # valid, and above the clamped probability
         _, labels = predict(model, [2, 3, 4])
         assert labels[0] == 0
 
@@ -436,5 +452,5 @@ class TestConfigValidation:
 
     def test_relu_activation_supported(self):
         model = tiny_model()
-        model.config.activation = "relu"
+        model.config = replace(model.config, activation="relu")
         finite_difference_check(model, [2, 3, 4, 5], np.array([1.0]))

@@ -1,6 +1,7 @@
 """The batched CNN engine against the per-example oracle in cnn_oracle.py."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestAgainstOracle:
         models = {}
         for name in ("engine", "oracle"):
             models[name] = random_model(n_heads=2, activation=activation, seed=6)
-            models[name].config.epochs = 1  # one step: the batch holds every note
+            models[name].config = replace(models[name].config, epochs=1)  # one step: the batch holds every note
         perm = np.random.default_rng([6, 0xD47A]).permutation(len(notes))  # train's order stream
         train_data = [None] * len(notes)
         for j, i in enumerate(perm):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,19 @@ class TestPretraining:
         for lr in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(ValueError, match="learning_rate"):
                 PretrainConfig(learning_rate=lr).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PretrainConfig(seed=-1)
+
+    def test_a_diverged_run_is_an_error_naming_the_epoch(self):
+        corpus = synonym_corpus(n_sentences=40)
+        vocab = build_vocabulary(corpus, min_count=1)
+        cfg = PretrainConfig(dim=4, window=2, negatives=2, epochs=2, learning_rate=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported by the epoch check alone
+            with pytest.raises(ValueError, match="^pretraining diverged at epoch 1; lower pretrain.learning_rate$"):
+                pretrain_embeddings(corpus, vocab, cfg)
 
     def test_one_token_notes_give_no_pairs(self):
         # No note has a neighbour, so no pair exists: the seeded init comes

@@ -5,10 +5,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import notepheno
 from notepheno import checkpoint, concepts, featurize
+from notepheno.embeddings import init_embeddings, load_embeddings
 from notepheno.experiment import (
     ConfigError,
     DataError,
@@ -137,6 +139,17 @@ def test_unlabeled_notes_leave_labeled_notes_of_the_same_id_alone(corpus, tmp_pa
         return (out / "checkpoints" / "2gram-lr__pheno0.json").read_bytes()
 
     assert checkpoint_bytes("clash", str(clash)) == checkpoint_bytes("none", None)
+
+
+@pytest.mark.parametrize("overrides", [{"unlabeled_path": None}, {"pretrain": {"dim": 8, "epochs": 0}}],
+                         ids=["no-unlabeled-corpus", "zero-epochs"])
+def test_a_run_without_pretraining_writes_the_seeded_init(corpus, tmp_path, overrides):
+    out = tmp_path / "out"
+    config = experiment_config_from_dict(base_config(corpus, out, **overrides))
+    run_experiment(config)
+    tokens, emb = load_embeddings(out / "embeddings.txt")
+    expected = init_embeddings(len(tokens), 8, derive_seed(config.seed, "pretrain"))
+    np.testing.assert_array_equal(emb.vectors, expected.vectors)
 
 
 class TestPlan:

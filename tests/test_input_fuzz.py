@@ -6,11 +6,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from notepheno import checkpoint
 from notepheno.cli import main
+from notepheno.embeddings import load_embeddings
 from notepheno.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 # Values a parsed node is replaced with: every JSON type, values out of every
@@ -20,6 +23,10 @@ _RETYPES = [None, True, False, 0, -1, 1, 2, 0.5, 1.5, float("nan"), float("inf")
             [], [1], ["pheno0"], {}, {"a": 1}]
 _DEEP = "[" * 100_000 + "]" * 100_000
 _SECTIONS = ["split", "pretrain", "cnn", "baselines"]
+# Extreme but valid settings: a learning rate up to the largest float, and a
+# seed of either sign. Each either trains or is a config error.
+_LEARNING_RATES = st.floats(min_value=1e-6, max_value=1e308)
+_SEEDS = st.integers(-(2**63), 2**63 - 1)
 _FUZZ = settings(max_examples=25, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 
@@ -151,3 +158,36 @@ def test_a_mutated_corpus_never_escapes_the_cli(base, command, data, tmp_path, c
     corpus = tmp_path / "notes.jsonl"
     corpus.write_bytes(data.draw(_corpus_text(base["lines"])))
     _exits_cleanly(_corpus_argv(command, base, corpus, tmp_path), capsys)
+
+
+def _ends_as_training_or_config_error(code, capsys):
+    err = capsys.readouterr().err.strip()
+    assert code == 0 or (code == 2 and len(err.splitlines()) == 1)
+
+
+@_FUZZ
+@given(learning_rate=_LEARNING_RATES, seed=_SEEDS)
+def test_a_run_writes_only_checkpoints_its_readers_accept(base, learning_rate, seed, capsys):
+    """Every checkpoint a run-experiment leaves loads in evaluate with exit 0,
+    and saving the loaded checkpoint writes its bytes."""
+    config = {**base["config"], "seed": seed,
+              "pretrain": {**base["config"]["pretrain"], "learning_rate": learning_rate}}
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        Path("config.json").write_text(json.dumps(config))
+        _ends_as_training_or_config_error(main(["run-experiment", "--config", "config.json"]), capsys)
+        for path in Path("out", "checkpoints").glob("*.json"):
+            assert main(["evaluate", "--checkpoint", str(path), "--corpus", str(base["paths"]["labeled"]),
+                         "--dictionary", str(base["paths"]["dictionary"])]) == 0
+            checkpoint.save(checkpoint.load(path), "again.json")
+            assert Path("again.json").read_bytes() == path.read_bytes()
+
+
+@_FUZZ
+@given(learning_rate=_LEARNING_RATES, seed=_SEEDS)
+def test_pretrain_writes_only_finite_vectors(base, learning_rate, seed, capsys):
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        code = main(["pretrain", "--corpus", str(base["paths"]["unlabeled"]), "--out", "e.txt", "--dim", "4",
+                     "--epochs", "1", "--min-count", "1", "--lr", repr(learning_rate), "--seed", str(seed)])
+        _ends_as_training_or_config_error(code, capsys)
+        assert code != 0 or np.isfinite(load_embeddings("e.txt")[1].vectors).all()
+        assert code == 0 or not Path("e.txt").exists()
