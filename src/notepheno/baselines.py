@@ -20,7 +20,7 @@ from scipy import sparse
 
 from . import concepts, featurize
 from .featurize import FeatureSpace
-from .optim import AdadeltaState, adadelta_step
+from .optim import AdadeltaState, adadelta_step, logistic
 
 LOGREG_MAX_ITERS = 2000
 LOGREG_GRAD_TOL = 1e-5
@@ -96,12 +96,6 @@ class LinearModel:
     l2_lambda: float
 
 
-def _sigmoid(logits: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-logits)); an exp that overflows gives inf, and so the exact 0.0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-logits))
-
-
 def logreg_objective_and_grads(
     weights: np.ndarray,
     bias: float,
@@ -117,7 +111,7 @@ def logreg_objective_and_grads(
     """
     n = X.shape[0]
     logits = X @ weights + bias
-    p = _sigmoid(logits)
+    p = logistic(logits)
     eps = 1e-12
     nll = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
     objective = nll + 0.5 * l2_lambda * float(weights @ weights)
@@ -195,35 +189,44 @@ class Forest:
     bootstrap: bool = True
 
 
-def _gini(pos: int, n: int) -> float:
-    if n == 0:
-        return 0.0
+def _gini(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     p = pos / n
     return 2.0 * p * (1.0 - p)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Lowest weighted child Gini over candidate (feature, midpoint) splits."""
-    n = len(y)
+def _best_split(X: np.ndarray, rows: np.ndarray, y: np.ndarray, features: np.ndarray):
+    """Lowest weighted child Gini over candidate (feature, midpoint) splits of
+    X's rows `rows`, whose labels y holds; None if no split leaves both
+    children non-empty.
+
+    One sorted sweep per feature: a row goes left when its value is <= the
+    midpoint, so a left child is a prefix of the sorted values, counted with
+    searchsorted and its positives read from a running count. The first
+    lowest impurity wins, over features in the given order.
+    """
+    n, n_pos = len(rows), int(y.sum())
     best = None  # (impurity, feature, threshold)
     for f in features:
-        values = X[:, f]
-        uniq = np.unique(values)
-        if len(uniq) < 2:
+        values = X[rows, f]
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        if ordered[0] == ordered[-1]:
             continue
-        for t in (uniq[:-1] + uniq[1:]) / 2.0:
-            mask = values <= t
-            n_left = int(mask.sum())
-            if n_left == 0 or n_left == n:
-                continue
-            pos_left = int(y[mask].sum())
-            pos_right = int(y.sum()) - pos_left
-            impurity = (
-                n_left * _gini(pos_left, n_left)
-                + (n - n_left) * _gini(pos_right, n - n_left)
-            ) / n
-            if best is None or impurity < best[0]:
-                best = (impurity, int(f), float(t))
+        uniq = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+        thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+        n_left = np.searchsorted(ordered, thresholds, side="right")
+        valid = (n_left > 0) & (n_left < n)
+        if not valid.any():
+            continue
+        thresholds, n_left = thresholds[valid], n_left[valid]
+        pos_left = np.cumsum(y[order])[n_left - 1]
+        pos_right = n_pos - pos_left
+        impurity = (
+            n_left * _gini(pos_left, n_left) + (n - n_left) * _gini(pos_right, n - n_left)
+        ) / n
+        i = int(np.argmin(impurity))
+        if best is None or impurity[i] < best[0]:
+            best = (float(impurity[i]), int(f), float(thresholds[i]))
     return best
 
 
@@ -259,32 +262,33 @@ def train_rf(
         else:
             sample = np.arange(len(y_arr))
         roots.append(len(nodes))
-        # Nodes still to grow: (rows, labels, depth, the split whose right
+        # Nodes still to grow: (rows of dense, depth, the split whose right
         # child it is). Popping a left child before its right sibling grows
         # the tree, and draws from rng, in preorder, with no recursion limit.
-        stack = [(dense[sample], y_arr[sample], 0, None)]
+        stack = [(sample, 0, None)]
         while stack:
-            X_node, y_node, depth, parent = stack.pop()
+            rows, depth, parent = stack.pop()
             if parent is not None:
                 nodes[parent][3] = len(nodes)
+            y_node = y_arr[rows]
             n, pos = len(y_node), int(y_node.sum())
             best = None
             if not (pos == 0 or pos == n or n < 2 or (max_depth is not None and depth >= max_depth)):
-                order = rng.permutation(X_node.shape[1])
-                k = min(n_features_per_split, X_node.shape[1])
-                best = _best_split(X_node, y_node, np.sort(order[:k]))
-                while best is None and k < X_node.shape[1]:
+                order = rng.permutation(dense.shape[1])
+                k = min(n_features_per_split, dense.shape[1])
+                best = _best_split(dense, rows, y_node, np.sort(order[:k]))
+                while best is None and k < dense.shape[1]:
                     # the drawn subset admits no valid split; widen the search
-                    best = _best_split(X_node, y_node, order[k : k + 1])
+                    best = _best_split(dense, rows, y_node, order[k : k + 1])
                     k += 1
             if best is None:
                 nodes.append([-1, 0.0, -1, -1, pos / n])
                 continue
             _, feature, threshold = best
-            goes_left = X_node[:, feature] <= threshold
+            goes_left = dense[rows, feature] <= threshold
             nodes.append([feature, threshold, len(nodes) + 1, -1, 0.0])
-            stack.append((X_node[~goes_left], y_node[~goes_left], depth + 1, len(nodes) - 1))
-            stack.append((X_node[goes_left], y_node[goes_left], depth + 1, None))
+            stack.append((rows[~goes_left], depth + 1, len(nodes) - 1))
+            stack.append((rows[goes_left], depth + 1, None))
     feature, threshold, left, right, fraction = np.array(nodes, dtype=float).reshape(-1, 5).T
     return Forest(
         feature.astype(int), threshold, left.astype(int), right.astype(int), fraction,
@@ -299,7 +303,7 @@ def predict_proba(kind: str, model: LinearModel | Forest, X: sparse.csr_matrix) 
     always in [0, 1].
     """
     if kind == "logreg":
-        return _sigmoid(X @ model.weights + model.bias)
+        return logistic(X @ model.weights + model.bias)
     n_trees = len(model.roots)
     if not n_trees:
         raise ValueError("cannot predict with an empty forest")

@@ -21,9 +21,9 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 
 from .corpus import PAD_ID, Settings
-from .embeddings import EmbeddingMatrix, _scatter_add
+from .embeddings import EmbeddingMatrix
 from .metrics import confusion, f1
-from .optim import AdadeltaState, adadelta_step
+from .optim import AdadeltaState, adadelta_step, logistic, row_blocks, scatter_add
 
 PROB_CLAMP = 1e-7
 INIT_BOUND = 0.01
@@ -151,10 +151,6 @@ def init_model(config: CnnConfig, embeddings: EmbeddingMatrix) -> CnnModel:
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def groups(model: CnnModel, id_lists: list[list[int]]) -> list[tuple[int, int]]:
     """Split a sequence of notes into consecutive [start, stop) groups.
 
@@ -264,7 +260,7 @@ def forward_batch(
         pooled=pooled,
         dropout_mask=mask,
         dropped=dropped,
-        probs=_sigmoid(logits),
+        probs=logistic(logits),
     )
 
 
@@ -367,7 +363,7 @@ def backward_batch(
     d_embedded = scatter @ taps_weights  # (notes * positions, dim)
 
     table = grads["embeddings"]
-    _scatter_add(table, acts.ids, d_embedded)
+    scatter_add(table, acts.ids, d_embedded)
     table[PAD_ID] = 0.0
     return grads
 
@@ -388,7 +384,9 @@ def apply_max_norm(emb: EmbeddingMatrix, max_norm: float) -> EmbeddingMatrix:
     if max_norm <= 0:
         raise ValueError("max_norm must be > 0")
     vectors = emb.vectors
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.empty(len(vectors))
+    for rows in row_blocks(vectors):  # one block of squares at a time
+        norms[rows] = np.linalg.norm(vectors[rows], axis=1)
     over = norms > max_norm
     over[PAD_ID] = False
     if np.any(over):
@@ -427,6 +425,7 @@ def train(
     draw_rng = np.random.default_rng([cfg.seed, 0xD407])
     params = model.parameters()
     state = AdadeltaState.for_params(params)
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
@@ -439,7 +438,8 @@ def train(
             if cfg.dropout_p > 0.0:
                 draws = draw_rng.random(len(batch) * model.total_filters).reshape(len(batch), -1)
             note_losses = np.empty(len(batch))
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            for g in grads.values():
+                g.fill(0.0)
             for rows, acts in forward_groups(model, [train_data[i][0] for i in batch], draws):
                 note_losses[rows] = _note_losses(acts.probs, labels[rows])
                 backward_batch(model, acts, labels[rows], grads)

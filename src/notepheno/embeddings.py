@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import PAD_ID, PAD_TOKEN, Settings, Vocabulary
+from .optim import logistic, scatter_add
 
 NEGATIVE_SAMPLING_POWER = 0.75
 MIN_LR_FRACTION = 1e-4
@@ -146,7 +147,7 @@ def _block_gradients(
     v = w_in[centers]  # (B, dim)
     u = w_out[targets]  # (B, 1 + negatives, dim)
     scores = (u @ v[:, :, None])[:, :, 0]
-    g = 1.0 / (1.0 + np.exp(-scores))
+    g = logistic(scores)
     g[:, 0] -= 1.0
     g[:, 1:] *= kept
     loss = 0.0
@@ -157,14 +158,6 @@ def _block_gradients(
     d_centers = (g[:, None, :] @ u)[:, 0, :]
     d_targets = g[:, :, None] * v[:, None, :]
     return loss, d_centers, d_targets
-
-
-def _scatter_add(table: np.ndarray, rows: np.ndarray, deltas: np.ndarray):
-    """np.add.at(table, rows, deltas), bit for bit but faster, through the flat
-    view of a C-contiguous table."""
-    dim = table.shape[1]
-    flat_index = rows.reshape(-1, 1) * dim + np.arange(dim)
-    np.add.at(table.reshape(-1), flat_index.reshape(-1), deltas.reshape(-1))
 
 
 def _sgns_block_step(
@@ -181,8 +174,8 @@ def _sgns_block_step(
     # adding the deltas scaled by -lr writes the bytes of subtracting them scaled by lr
     d_centers *= -lrs[:, None]
     d_targets *= -lrs[:, None, None]
-    _scatter_add(w_in, centers, d_centers)
-    _scatter_add(w_out, targets, d_targets)
+    scatter_add(w_in, centers, d_centers)
+    scatter_add(w_out, targets, d_targets)
     return loss
 
 

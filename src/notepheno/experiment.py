@@ -319,9 +319,10 @@ def run_job(job: Job, shared: Shared) -> tuple[checkpoint.Checkpoint, dict]:
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run the full protocol described by the config; returns metrics and paths.
 
-    Every input is read and checked before the output directory is made, and
-    every input of the jobs is computed before the first job runs. progress,
-    when given, is called with one status string per stage.
+    Every input is read and checked, and every input of the jobs (the
+    vocabulary and embeddings among them) is computed, before the output
+    directory is made: a run that fails before its first job writes nothing.
+    progress, when given, is called with one status string per stage.
     """
     say = progress or (lambda msg: None)
     notes = read_notes(config.labeled_path, "labeled corpus")
@@ -347,18 +348,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     if "cnn" in config.models:
         require_tokens(notes, [tokens_by_id[n.note_id] for n in notes])
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "checkpoints").mkdir(exist_ok=True)
-    (out_dir / "reports").mkdir(exist_ok=True)
-    split_hash = write_split_manifest(out_dir / "split", train_notes, val_notes, test_notes)
     say(f"split: {len(train_notes)} train / {len(val_notes)} val / {len(test_notes)} test")
 
     unlabeled_tokens = [tokenize(n.text) for n in unlabeled]
     vocab_corpus = unlabeled_tokens + [tokens_by_id[n.note_id] for n in train_notes]
     vocab = build_vocabulary(vocab_corpus, min_count=config.vocab_min_count)
-    with open(out_dir / "vocab.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(vocab.to_dict(), sort_keys=True) + "\n")
 
     derived_seeds: dict[str, int] = {"split": split_spec.seed}
     emb = None
@@ -371,7 +365,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             emb = pretrain_embeddings(unlabeled_tokens, vocab, pretrain_cfg)
         except ValueError as exc:  # a diverged run
             raise ConfigError(str(exc)) from exc
-        save_embeddings(emb, vocab, out_dir / "embeddings.txt")
 
     jobs = plan(config)
     scored = [tokens_by_id[n.note_id] for n in train_notes + test_notes]
@@ -381,6 +374,16 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             pipeline = baselines.pipeline_record(job.model, job.phenotypes[0])
             counts[_counts_key(job)] = baselines.pipeline_counts(pipeline, scored, dictionary)
     shared = Shared(config, (train_notes, val_notes, test_notes), tokens_by_id, vocab, emb, counts)
+
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "checkpoints").mkdir(exist_ok=True)
+    (out_dir / "reports").mkdir(exist_ok=True)
+    split_hash = write_split_manifest(out_dir / "split", train_notes, val_notes, test_notes)
+    with open(out_dir / "vocab.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(vocab.to_dict(), sort_keys=True) + "\n")
+    if emb is not None:
+        save_embeddings(emb, vocab, out_dir / "embeddings.txt")
 
     result = ExperimentResult(metrics={}, paths={"output_dir": out_dir}, split_hash=split_hash)
     for job in jobs:

@@ -6,16 +6,17 @@ count_transform and tfidf_transform turn one note's counts into a
 predict_rf read such dicts one note at a time. TreeNode, _grow_tree, _route,
 _tree_to_json and _tree_from_json are the recursive forest and its v1
 checkpoint form; grow_forest and route_forest are the forest parts of the
-former train_rf and predict_proba. TOKEN_RE, extract_ngrams and
-match_concepts are the former tokenizer regex, n-gram loop and concept scan,
-which tried every phrase length up to the dictionary's longest at every
-token. All of these are the former implementations, unchanged apart from
-imports and the scan computing that longest length itself. flatten lays
-TreeNode trees out as baselines.Forest's node arrays. tests/test_featurize.py,
-tests/test_baselines.py, tests/test_corpus.py and tests/test_concepts.py check
-featurize.transform, featurize.extract_ngrams, baselines.train_rf,
-baselines.predict_proba, corpus.tokenize and concepts.match_concepts against
-them.
+former train_rf and predict_proba, and _best_split and _gini its split search,
+which counted the rows at or below each midpoint afresh. TOKEN_RE,
+extract_ngrams and match_concepts are the former tokenizer regex, n-gram loop
+and concept scan, which tried every phrase length up to the dictionary's
+longest at every token. All of these are the former implementations, unchanged
+apart from imports and the scan computing that longest length itself. flatten
+lays TreeNode trees out as baselines.Forest's node arrays.
+tests/test_featurize.py, tests/test_baselines.py, tests/test_corpus.py and
+tests/test_concepts.py check featurize.transform, featurize.extract_ngrams,
+baselines.train_rf, baselines._best_split, baselines.predict_proba,
+corpus.tokenize and concepts.match_concepts against them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from notepheno.baselines import LinearModel, _best_split
+from notepheno.baselines import LinearModel
 from notepheno.concepts import ConceptDictionary, ConceptMention, detect_negation
 from notepheno.featurize import FeatureKey, FeatureSpace
 
@@ -116,6 +117,38 @@ def predict_logreg(model: LinearModel, x: FeatureVector) -> float:
         if idx < len(model.weights):
             score += model.weights[idx] * value
     return float(1.0 / (1.0 + np.exp(-score)))
+
+
+def _gini(pos: int, n: int) -> float:
+    if n == 0:
+        return 0.0
+    p = pos / n
+    return 2.0 * p * (1.0 - p)
+
+
+def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
+    """Lowest weighted child Gini over candidate (feature, midpoint) splits."""
+    n = len(y)
+    best = None  # (impurity, feature, threshold)
+    for f in features:
+        values = X[:, f]
+        uniq = np.unique(values)
+        if len(uniq) < 2:
+            continue
+        for t in (uniq[:-1] + uniq[1:]) / 2.0:
+            mask = values <= t
+            n_left = int(mask.sum())
+            if n_left == 0 or n_left == n:
+                continue
+            pos_left = int(y[mask].sum())
+            pos_right = int(y.sum()) - pos_left
+            impurity = (
+                n_left * _gini(pos_left, n_left)
+                + (n - n_left) * _gini(pos_right, n - n_left)
+            ) / n
+            if best is None or impurity < best[0]:
+                best = (impurity, int(f), float(t))
+    return best
 
 
 @dataclass

@@ -10,7 +10,9 @@ bit-identical results: forward_batch_reference (windows gathered with
 sliding_window_view, padding set by a boolean mask, maxima read with
 take_along_axis) and the list-based top-k explain paths, which build one
 PhraseScore per window of the engine's score grids (_note_scores) and sort
-them with a Python key.
+them with a Python key. adadelta_step_whole and apply_max_norm_whole are
+optim.adadelta_step and cnn.apply_max_norm as they were before they ran on
+blocks of rows, on whole parameter arrays.
 """
 
 from __future__ import annotations
@@ -533,3 +535,34 @@ def local_salient_phrases_listed(
         entries=entries,
         flagged_negative=flagged,
     )
+
+
+def adadelta_step_whole(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: AdadeltaState,
+    rho: float,
+    eps: float,
+):
+    for name, param in params.items():
+        g = grads[name]
+        eg2 = state.sq_grad[name]
+        edx2 = state.sq_update[name]
+        eg2 *= rho
+        eg2 += (1.0 - rho) * g * g
+        delta = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+        edx2 *= rho
+        edx2 += (1.0 - rho) * delta * delta
+        param += delta
+
+
+def apply_max_norm_whole(emb, max_norm: float):
+    if max_norm <= 0:
+        raise ValueError("max_norm must be > 0")
+    vectors = emb.vectors
+    norms = np.linalg.norm(vectors, axis=1)
+    over = norms > max_norm
+    over[PAD_ID] = False
+    if np.any(over):
+        vectors[over] *= (max_norm / norms[over])[:, None]
+    return emb

@@ -11,6 +11,7 @@ import baselines_oracle as oracle
 from notepheno import checkpoint
 from notepheno.baselines import (
     Forest,
+    _best_split,
     LinearModel,
     logreg_objective_and_grads,
     pipeline_record,
@@ -207,6 +208,60 @@ class TestRandomForest:
         rng = np.random.default_rng(seed)
         x = {j: float(rng.normal()) for j in range(3)}
         assert 0.0 <= rf_probs(forest, [x], 3)[0] <= 1.0
+
+
+def both_split_searches(X, y, features, rows=None):
+    """(the sorted sweep's split, the oracle's) over rows of dense X, all rows by default."""
+    X, y, features = np.asarray(X, dtype=float), np.asarray(y, dtype=int), np.asarray(features)
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows)
+    return _best_split(X, rows, y[rows], features), oracle._best_split(X[rows], y[rows], features)
+
+
+ONE = 1.0
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
+
+class TestSplitSearch:
+    def test_a_midpoint_that_rounds_up_to_the_larger_value_is_dropped(self):
+        """(BELOW_ONE + 1) / 2 rounds to 1.0, so that split sends every row left."""
+        got, want = both_split_searches([[BELOW_ONE], [ONE]], [0, 1], [0])
+        assert got is None and want is None
+
+    def test_a_midpoint_that_rounds_down_still_splits(self):
+        got, want = both_split_searches([[ONE], [ABOVE_ONE]], [0, 1], [0])
+        assert got == want == (0.0, 0, 1.0)
+
+    def test_adjacent_doubles_among_other_values(self):
+        X = [[0.0, 2.0], [BELOW_ONE, 2.0], [ONE, ABOVE_ONE], [ONE, ONE], [2.0, BELOW_ONE], [2.0, 0.0]]
+        for y in ([0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0], [0, 1, 0, 0, 1, 1]):
+            for features in ([0], [1], [0, 1], [1, 0]):
+                got, want = both_split_searches(X, y, features)
+                assert got == want, (y, features)
+
+    def test_a_widened_search_grows_the_oracle_forest(self):
+        """With one feature drawn per split and only the last column varying,
+        most draws admit no split and the search widens feature by feature."""
+        rng = np.random.default_rng(4)
+        rows = [{0: 1.0, 1: 2.0, 2: 0.0, 3: float(rng.integers(0, 6))} for _ in range(40)]
+        y = [int(row[3] >= 3) ^ int(i % 7 == 0) for i, row in enumerate(rows)]
+        X = vectors_to_csr(rows, 4)
+        for seed in range(5):
+            forest = train_rf(X, y, n_trees=3, n_features_per_split=1, seed=seed)
+            assert set(forest.feature[forest.feature >= 0].tolist()) == {3}
+            assert forest_arrays(forest) == oracle.flatten(
+                oracle.grow_forest(X, y, 3, n_features_per_split=1, seed=seed))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.integers(1, 30), st.integers(1, 5))
+    def test_the_sorted_sweep_is_the_oracle_search_on_tie_heavy_rows(self, data, n, d):
+        values = st.sampled_from([0.0, -0.0, 0.0, 0.5, BELOW_ONE, ONE, ABOVE_ONE, 2.0, -3.0])
+        X = [[data.draw(values) for _ in range(d)] for _ in range(n)]
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        features = data.draw(st.permutations(range(d)))[: data.draw(st.integers(1, d))]
+        got, want = both_split_searches(X, y, features, rows)
+        assert got == want
 
 
 class TestCheckpoints:

@@ -442,6 +442,33 @@ def test_bad_settings_exit_2_with_one_line_and_write_no_model(workspace, tmp_pat
     assert not (out / "embeddings.txt").exists() and not list(out.glob("checkpoints/*"))
 
 
+def test_a_run_that_fails_before_its_first_job_writes_nothing(workspace, tmp_path, capsys):
+    argv = _experiment_argv(workspace, tmp_path, models=["cnn", "2gram-lr"],
+                            pretrain={"dim": 4, "epochs": 1, "learning_rate": 1e300})
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bias", [-1000.0, 1000.0])
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_an_overflowing_cnn_logit_scores_without_a_runtime_warning(
+    workspace, tmp_path, capsys, command, bias
+):
+    """The CNN twin of test_an_overflowing_logit_gives_zero_without_a_warning:
+    a checkpoint whose output bias saturates the logistic is read with exit 0
+    and no numpy warning. With nothing predicted positive, explain's own
+    warning is expected."""
+    ckpt = _tampered(workspace, tmp_path, "cnn__pheno0.json",
+                     _edit_param(lambda b: np.full_like(b, bias), "output_bias"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_cnn_argv(workspace, command, ckpt, tmp_path)) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    nothing_positive = [w for w in caught if "no document was predicted positive" in str(w.message)]
+    assert len(nothing_positive) == (command == "explain" and bias < 0)
+
+
 def _ckpt(workspace, name):
     return workspace["root"] / "out" / "checkpoints" / name
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cnn_oracle as oracle
 from notepheno.cnn import (
     PROB_CLAMP,
     CnnConfig,
@@ -16,6 +17,7 @@ from notepheno.cnn import (
     init_model,
     loss,
     predict,
+    predict_batch,
     apply_max_norm,
     train,
 )
@@ -186,7 +188,43 @@ class TestAdadelta:
         assert np.all(np.sign(params["x"][nonzero]) == -np.sign(g[nonzero]))
 
 
+    @pytest.mark.parametrize("shape, order", [
+        ((70_001,), "C"), ((1,), "C"), ((0,), "C"), ((0, 5), "C"), ((3, 0), "C"),
+        ((331, 301), "C"), ((331, 301), "F"), ((2, 40_001), "C"), ((40_001, 3), "F"),
+    ])
+    def test_blocked_step_is_the_whole_array_step_bit_for_bit(self, shape, order):
+        """Parameters of one block and of many, odd sizes, zero-size, 1-D and
+        Fortran-ordered ones: three steps give the whole-array bytes."""
+        rng = np.random.default_rng(sum(shape))
+
+        def arrays():
+            scale = 10.0 ** rng.uniform(-8, 8, shape)
+            return {"p": np.asarray(rng.normal(0, 1, shape) * scale, order=order),
+                    "q": rng.normal(0, 1, 5)}
+
+        got = arrays()
+        want = {name: p.copy(order="K") for name, p in got.items()}
+        got_state, want_state = AdadeltaState.for_params(got), AdadeltaState.for_params(want)
+        for _ in range(3):
+            grads = arrays()
+            adadelta_step(got, grads, got_state, 0.95, 1e-6)
+            oracle.adadelta_step_whole(want, grads, want_state, 0.95, 1e-6)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+            assert got_state.sq_grad[name].tobytes() == want_state.sq_grad[name].tobytes(), name
+            assert got_state.sq_update[name].tobytes() == want_state.sq_update[name].tobytes(), name
+
+
 class TestMaxNorm:
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 3), (331, 301), (30_001, 3), (70_001, 1)])
+    def test_blocked_norms_are_the_whole_array_norms_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        vectors = rng.normal(0, 2, shape) * rng.choice([0.1, 1.0, 10.0], size=(shape[0], 1))
+        got, want = EmbeddingMatrix(vectors=vectors.copy()), EmbeddingMatrix(vectors=vectors.copy())
+        apply_max_norm(got, 3.0)
+        oracle.apply_max_norm_whole(want, 3.0)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
     def test_rescales_long_row(self):
         emb = EmbeddingMatrix(vectors=np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0]]))
         apply_max_norm(emb, 3.0)
@@ -386,6 +424,16 @@ class TestPredict:
         model.config = replace(model.config, threshold=1.0 - PROB_CLAMP / 10)  # valid, and above the clamped probability
         _, labels = predict(model, [2, 3, 4])
         assert labels[0] == 0
+
+    @pytest.mark.parametrize("bias, prob", [(-1000.0, PROB_CLAMP), (1000.0, 1.0 - PROB_CLAMP)])
+    def test_an_overflowing_logit_gives_the_clamped_probability_without_a_warning(self, bias, prob):
+        model = tiny_model()
+        model.output_bias[:] = bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs, labels = predict_batch(model, [[2, 3, 4], [5, 6]])
+        assert probs.tolist() == [[prob], [prob]]
+        assert labels.tolist() == [[int(bias > 0)], [int(bias > 0)]]
 
     def test_concurrent_inference_matches_sequential(self):
         model = tiny_model(widths=(2, 3), filters=4)

@@ -13,13 +13,13 @@ from notepheno.embeddings import (
     _block_gradients,
     _epoch_pairs,
     _negative_sampling_cdf,
-    _scatter_add,
     _sgns_block_step,
     init_embeddings,
     load_embeddings,
     pretrain_embeddings,
     save_embeddings,
 )
+from notepheno.optim import scatter_add as _scatter_add
 
 
 def synonym_corpus(seed=77, n_sentences=400):
