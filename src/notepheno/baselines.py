@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from . import concepts, featurize
+from .corpus import in_range
 from .featurize import FeatureSpace
 from .optim import AdadeltaState, adadelta_step, logistic
 
@@ -183,9 +184,9 @@ class Forest:
     right: np.ndarray
     fraction: np.ndarray
     roots: np.ndarray
-    n_features_per_split: int
+    n_features_per_split: int = in_range(ge=1)
     seed: int
-    max_depth: int | None = None
+    max_depth: int | None = in_range(None, ge=1)
     bootstrap: bool = True
 
 

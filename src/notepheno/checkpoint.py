@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import Forest, LinearModel, check_pipeline
 from .cnn import CnnConfig, CnnModel
-from .corpus import Vocabulary, build_settings, check_types
+from .corpus import Vocabulary, build_settings, check_ranges, check_types
 from .embeddings import EmbeddingMatrix
 from .featurize import FeatureKey, FeatureSpace
 
@@ -243,8 +243,6 @@ def _load_baseline(kind: str, doc: dict) -> Checkpoint:
     else:
         settings = {key: payload[key] for key in FOREST_SETTINGS}
         check_types(Forest, settings, "forest ")
-        for key in ("n_features_per_split", "max_depth"):
-            if settings[key] is not None and settings[key] < 1:
-                raise ValueError(f"forest {key} must be >= 1, got {settings[key]}")
         model = Forest(**_forest_arrays(payload, space.n_features), **settings)
+        check_ranges(model, "forest ")
     return Checkpoint(kind, model, [pipeline["phenotype"]], space=space, pipeline=pipeline)

@@ -125,8 +125,6 @@ def _config_with_overrides(args, models=None, phenotypes=None):
 
 
 def cmd_train(args) -> int:
-    if args.model not in MODEL_NAMES:
-        raise ConfigError(f"unknown model {args.model!r}; choose from {list(MODEL_NAMES)}")
     config = _config_with_overrides(
         args,
         models=[args.model],
@@ -191,6 +189,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    out_base = Path(args.out)
+    if not out_base.name:  # ".", "" and "/" name no file to give a suffix
+        raise ConfigError(f"--out {args.out!r} must end in a file name")
     ckpt = _read_checkpoint(args.checkpoint)
     if ckpt.kind != "cnn":
         raise ModelLoadError("explain requires a CNN checkpoint")
@@ -235,7 +236,6 @@ def cmd_explain(args) -> int:
             model, vocab, note.note_id, tokens, args.phenotype, head, args.top_k, args.variant,
         )
 
-    out_base = Path(args.out)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     tsv_path = out_base.with_suffix(".tsv")
     json_path = out_base.with_suffix(".json")
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--note-id", default=None, help="note to explain when scope=local")
     p.add_argument("--variant", choices=saliency.VARIANTS, default="weighted")
     p.add_argument("--vocab", default=None, help="vocabulary file to hash-check against")
-    p.add_argument("--out", required=True, help="report path base (.tsv/.json added)")
+    p.add_argument("--out", required=True, help="report path base; .tsv and .json replace its suffix, if any")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("run-experiment", help="run the full multi-model protocol")

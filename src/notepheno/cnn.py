@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 
-from .corpus import PAD_ID, Settings
+from .corpus import PAD_ID, Settings, in_range
 from .embeddings import EmbeddingMatrix
 from .metrics import confusion, f1
 from .optim import AdadeltaState, adadelta_step, logistic, row_blocks, scatter_add
@@ -38,17 +38,17 @@ GROUP_ELEMENTS = 300_000
 @dataclass(frozen=True)
 class CnnConfig(Settings):
     filter_widths: tuple[int, ...] = (2, 3, 4, 5)
-    filters_per_width: int = 100
-    dropout_p: float = 0.5
-    max_norm: float = 3.0
-    epochs: int = 20
-    batch_size: int = 50
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
-    threshold: float = 0.5
-    n_heads: int = 1
+    filters_per_width: int = in_range(100, ge=1)
+    dropout_p: float = in_range(0.5, ge=0, lt=1)
+    max_norm: float = in_range(3.0, gt=0)
+    epochs: int = in_range(20, ge=0)
+    batch_size: int = in_range(50, ge=1)
+    adadelta_rho: float = in_range(0.95, gt=0, lt=1)
+    adadelta_eps: float = in_range(1e-6, gt=0)
+    threshold: float = in_range(0.5, gt=0, lt=1)
+    n_heads: int = in_range(1, ge=1)
     activation: str = "tanh"
-    seed: int = 0
+    seed: int = in_range(0, ge=0)
 
     def __post_init__(self):
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
@@ -58,20 +58,6 @@ class CnnConfig(Settings):
         widths = self.filter_widths
         if not widths or len(set(widths)) != len(widths) or any(w < 1 for w in widths):
             raise ValueError(f"filter widths must be distinct and >= 1, got {widths}")
-        if self.filters_per_width < 1:
-            raise ValueError("filters_per_width must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.max_norm <= 0:
-            raise ValueError("max_norm must be > 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if not 0.0 < self.adadelta_rho < 1.0 or self.adadelta_eps <= 0:
-            raise ValueError("adadelta_rho must be in (0, 1) and adadelta_eps > 0")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.n_heads < 1:
-            raise ValueError("n_heads must be >= 1")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
 
@@ -103,15 +89,14 @@ class CnnModel:
 class BatchActivations:
     """Forward-pass caches of one group of notes padded to a common length.
 
-    Row b holds note b padded with PAD up to the widest filter (its own
-    length, lengths[b]) and then with PAD up to the group length. The grids
-    hold the convolution before bias and activation (see activate()), as
-    views of filter-major arrays; entries at positions past a note's last
-    window are -inf, so the batch padding never wins a max-pool.
+    Row b holds note b padded with PAD up to the widest filter and then with
+    PAD up to the group length. The grids hold the convolution before bias
+    and activation (see activate()), as views of filter-major arrays; entries
+    at positions past a note's last window are -inf, so the batch padding
+    never wins a max-pool.
     """
 
     ids: np.ndarray  # (notes, positions) token ids
-    lengths: np.ndarray  # (notes,) padded length of each note
     embedded: np.ndarray  # (notes, positions, dim)
     grids: dict[int, np.ndarray]  # width -> (notes, windows, filters) pre-bias
     argmax: dict[int, np.ndarray]  # width -> (notes, filters) winning positions
@@ -253,7 +238,6 @@ def forward_batch(
     logits = dropped @ model.output_weights.T + model.output_bias
     return BatchActivations(
         ids=ids,
-        lengths=lengths,
         embedded=embedded,
         grids=grids,
         argmax=argmax,

@@ -12,7 +12,7 @@ import types
 import typing
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 PAD_ID = 0
@@ -130,6 +130,31 @@ def require_finite(cfg) -> None:
             raise ValueError(f"{f.name} must be a finite number, got {value}")
 
 
+def in_range(default=MISSING, **bounds):
+    """A dataclass field whose value must lie in a range: ge or gt a lower
+    bound, then optionally lt an upper one. check_ranges holds it there."""
+    return field(default=default, metadata=bounds)
+
+
+def check_ranges(obj, where: str = "") -> None:
+    """ValueError naming the first field of a dataclass whose value lies
+    outside the range its in_range() declares; a None value passes. where,
+    say "forest ", prefixes the field name."""
+    for f in fields(obj):
+        value, bounds = getattr(obj, f.name), f.metadata
+        if not bounds or value is None:
+            continue
+        closed = "ge" in bounds
+        low = bounds["ge"] if closed else bounds["gt"]
+        high = bounds.get("lt")
+        if (value < low if closed else value <= low) or (high is not None and value >= high):
+            if high is None:
+                text = f"{'>=' if closed else '>'} {low}"
+            else:
+                text = f"in {'[' if closed else '('}{low}, {high})"
+            raise ValueError(f"{where}{f.name} must be {text}, got {value}")
+
+
 def _has_type(value, annotation) -> bool:
     """Whether a config value fits a field annotation (int, float, str, bool,
     X | None, and list[X] / tuple[X, ...] given as a list or a tuple)."""
@@ -171,12 +196,17 @@ def check_types(cls, body: dict, where: str) -> None:
 
 @dataclass(frozen=True)
 class Settings:
-    """A frozen settings dataclass, checked by require_finite and then its own
-    validate() whenever one is built, a dataclasses.replace() copy included."""
+    """A frozen settings dataclass, checked by require_finite, then
+    check_ranges and then its own validate() whenever one is built, a
+    dataclasses.replace() copy included."""
 
     def __post_init__(self):
         require_finite(self)
+        check_ranges(self)
         self.validate()
+
+    def validate(self):
+        """The rules a field's declared range cannot express; none by default."""
 
 
 def build_settings(cls, values, section: str = ""):
@@ -197,15 +227,13 @@ def build_settings(cls, values, section: str = ""):
 class SplitSpec(Settings):
     """Train/validation/test fractions plus the shuffle seed."""
 
-    train_fraction: float = 0.7
-    val_fraction: float = 0.1
-    test_fraction: float = 0.2
+    train_fraction: float = in_range(0.7, gt=0)
+    val_fraction: float = in_range(0.1, gt=0)
+    test_fraction: float = in_range(0.2, gt=0)
     seed: int = 0
 
     def validate(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(f <= 0 for f in fracs):
-            raise ValueError(f"split fractions must be positive, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {fracs}")
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PAD_ID, PAD_TOKEN, Settings, Vocabulary
+from .corpus import PAD_ID, PAD_TOKEN, Settings, Vocabulary, in_range
 from .optim import logistic, scatter_add
 
 NEGATIVE_SAMPLING_POWER = 0.75
@@ -28,26 +28,12 @@ SGNS_BLOCK_PAIRS = 32
 
 @dataclass(frozen=True)
 class PretrainConfig(Settings):
-    dim: int = 100
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.025
-    seed: int = 0
-
-    def validate(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.negatives < 1:
-            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    dim: int = in_range(100, ge=1)
+    window: int = in_range(5, ge=1)
+    negatives: int = in_range(5, ge=1)
+    epochs: int = in_range(5, ge=0)
+    learning_rate: float = in_range(0.025, gt=0)
+    seed: int = in_range(0, ge=0)
 
 
 @dataclass
@@ -108,13 +94,15 @@ def _epoch_pairs(
     ids is the flattened corpus, lengths the length of each note, and spans
     the window drawn for each center position. Pairs are ordered by center
     position, then by offset from -span to +span, and never cross a note
-    boundary. A pair's learning rate decays linearly with its center's
-    running index over all epochs, starting from first_center.
+    boundary, so offsets reach no further than the longest note allows. A
+    pair's learning rate decays linearly with its center's running index over
+    all epochs, starting from first_center.
     """
     ends = np.repeat(np.cumsum(lengths), lengths)
     starts = ends - np.repeat(lengths, lengths)
     t = np.arange(len(ids))
-    offsets = np.concatenate([np.arange(-cfg.window, 0), np.arange(1, cfg.window + 1)])
+    reach = min(cfg.window, int(lengths.max(initial=1)) - 1)
+    offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
     keep = np.abs(offsets) <= spans[:, None]
     keep &= offsets >= (starts - t)[:, None]
     keep &= offsets < (ends - t)[:, None]

@@ -24,6 +24,7 @@ from .corpus import (
     Vocabulary,
     build_settings,
     build_vocabulary,
+    in_range,
     load_notes_jsonl,
     split_dataset,
     tokenize,
@@ -114,18 +115,10 @@ def derive_seed(root_seed: int, component: str) -> int:
 
 @dataclass(frozen=True)
 class BaselineConfig(Settings):
-    logreg_l2_lambda: float = 1.0
-    rf_n_trees: int = 100
-    rf_max_depth: int | None = None
-    rf_n_features_per_split: int | None = None  # None -> ceil(sqrt(D))
-
-    def validate(self):
-        if self.rf_n_trees < 1:
-            raise ValueError(f"rf_n_trees must be >= 1, got {self.rf_n_trees}")
-        for name in ("rf_max_depth", "rf_n_features_per_split"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be null or >= 1, got {value}")
+    logreg_l2_lambda: float = in_range(1.0, ge=0)
+    rf_n_trees: int = in_range(100, ge=1)
+    rf_max_depth: int | None = in_range(None, ge=1)
+    rf_n_features_per_split: int | None = in_range(None, ge=1)  # None -> ceil(sqrt(D))
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ class ExperimentConfig(Settings):
     dictionary_path: str | None = None
     seed: int = 0
     multilabel: bool = False
-    vocab_min_count: int = 2
+    vocab_min_count: int = in_range(2, ge=1)
     split: SplitSpec = field(default_factory=SplitSpec)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     cnn: cnn.CnnConfig = field(default_factory=cnn.CnnConfig)
@@ -156,8 +149,6 @@ class ExperimentConfig(Settings):
                 )
             if name in self.phenotypes[:i]:
                 raise ConfigError(f"phenotype {name!r} is listed twice")
-        if self.vocab_min_count < 1:
-            raise ConfigError(f"vocab_min_count must be >= 1, got {self.vocab_min_count}")
         if not self.models:
             raise ConfigError("at least one model is required")
         unknown = [m for m in self.models if m not in MODEL_NAMES]

@@ -32,7 +32,6 @@ class PhraseScore:
     position: int
     score: float
     note_id: str = ""
-    doc_index: int = 0  # the document's place in a global report's input; breaks full ties
 
     @property
     def text(self) -> str:
@@ -118,7 +117,7 @@ def _entries(windows: Windows, documents: list[tuple[str, list[str]]]) -> list[P
     for score, w, start, doc in zip(*(column.tolist() for column in windows)):
         note_id, tokens = documents[doc]
         entries.append(PhraseScore(phrase=tuple(tokens[start : start + w]), width=w, position=start,
-                                   score=score, note_id=note_id, doc_index=doc))
+                                   score=score, note_id=note_id))
     return entries
 
 

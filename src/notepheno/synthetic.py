@@ -16,43 +16,31 @@ from pathlib import Path
 import numpy as np
 
 from .concepts import ConceptDictionary, ConceptEntry, save_dictionary
-from .corpus import Note, Settings, save_notes_jsonl
+from .corpus import Note, Settings, in_range, save_notes_jsonl
 
 
 @dataclass(frozen=True)
 class SyntheticSpec(Settings):
-    n_notes: int = 200
-    vocab_size: int = 100
-    n_phenotypes: int = 1
-    phrases_per_phenotype: int = 1  # synonym variants per phenotype
-    phrase_length: int = 3
-    noise_rate: float = 0.0
-    positive_rate: float = 0.5
-    decoy_phrases: int = 0  # near-miss phrases planted without the label
+    n_notes: int = in_range(200, ge=1)
+    vocab_size: int = in_range(100, ge=1)
+    n_phenotypes: int = in_range(1, ge=1)
+    phrases_per_phenotype: int = in_range(1, ge=1)  # synonym variants per phenotype
+    phrase_length: int = in_range(3, ge=1)
+    noise_rate: float = in_range(0.0, ge=0, lt=0.5)
+    positive_rate: float = in_range(0.5, gt=0, lt=1)
+    decoy_phrases: int = in_range(0, ge=0)  # near-miss phrases planted without the label
     min_note_tokens: int = 20
     max_note_tokens: int = 40
-    seed: int = 0
-    n_unlabeled: int | None = None  # defaults to n_notes
+    seed: int = in_range(0, ge=0)
+    n_unlabeled: int | None = in_range(None, ge=0)  # defaults to n_notes
 
     def validate(self):
-        if self.n_notes < 1 or self.vocab_size < 1 or self.n_phenotypes < 1:
-            raise ValueError("n_notes, vocab_size, and n_phenotypes must be positive")
-        if self.phrases_per_phenotype < 1 or self.phrase_length < 1:
-            raise ValueError("phrases_per_phenotype and phrase_length must be positive")
-        if not 0.0 <= self.noise_rate < 0.5:
-            raise ValueError(f"noise_rate must be in [0, 0.5), got {self.noise_rate}")
-        if not 0.0 < self.positive_rate < 1.0:
-            raise ValueError("positive_rate must be in (0, 1)")
-        if self.decoy_phrases < 0:
-            raise ValueError("decoy_phrases must be >= 0")
         if self.decoy_phrases and self.phrase_length < 2:
             raise ValueError("decoy phrases need phrase_length >= 2")
         if self.min_note_tokens < self.phrase_length:
             raise ValueError("min_note_tokens must be >= phrase_length")
         if self.max_note_tokens < self.min_note_tokens:
             raise ValueError("max_note_tokens must be >= min_note_tokens")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def phenotype_names(spec: SyntheticSpec) -> list[str]:

@@ -405,7 +405,6 @@ def forward_batch_reference(
     logits = dropped @ model.output_weights.T + model.output_bias
     return BatchActivations(
         ids=ids,
-        lengths=lengths,
         embedded=embedded,
         grids=grids,
         argmax=argmax,
@@ -416,6 +415,19 @@ def forward_batch_reference(
     )
 
 
+@dataclass
+class ListedScore(PhraseScore):
+    """A PhraseScore plus the document's place in a global report's input,
+    on which the listed paths break full ties."""
+
+    doc_index: int = 0
+
+
+def _plain(entries: list[PhraseScore]) -> list[PhraseScore]:
+    """The entries as the PhraseScores the engine reports."""
+    return [PhraseScore(e.phrase, e.width, e.position, e.score, e.note_id) for e in entries]
+
+
 def _note_scores(
     acts: BatchActivations,
     values: dict[int, np.ndarray],
@@ -423,16 +435,16 @@ def _note_scores(
     tokens: list[str],
     note_id: str,
     doc_index: int = 0,
-) -> list[PhraseScore]:
-    """PhraseScores of every (width, window) of note `row` of a group."""
-    length = int(acts.lengths[row])
+) -> list[ListedScore]:
+    """ListedScores of every (width, window) of note `row` of a group."""
+    length = max(len(tokens), max(values))  # the note's padded length
     display = list(tokens) + [PAD_TOKEN] * (length - len(tokens))
-    scores: list[PhraseScore] = []
+    scores: list[ListedScore] = []
     for w, grid in values.items():
         note_values = grid[row].tolist()
         for i in range(length - w + 1):
             scores.append(
-                PhraseScore(
+                ListedScore(
                     phrase=tuple(display[i : i + w]),
                     width=w,
                     position=i,
@@ -445,7 +457,10 @@ def _note_scores(
 
 
 def _sort_entries(entries: list[PhraseScore]) -> list[PhraseScore]:
-    return sorted(entries, key=lambda e: (-e.score, e.width, e.position, e.note_id, e.doc_index))
+    # phrase_scores' entries, one note's each, carry no document index
+    return sorted(
+        entries, key=lambda e: (-e.score, e.width, e.position, e.note_id, getattr(e, "doc_index", 0))
+    )
 
 
 def _dedup_top_k(entries: list[PhraseScore], k: int) -> list[PhraseScore]:
@@ -500,7 +515,7 @@ def global_top_phrases_listed(
         )
     if entries and entries[0].score == 0.0:
         warnings.warn(f"all phrase scores for {phenotype!r} are zero")
-    return SaliencyReport(scope="global", phenotype=phenotype, entries=entries)
+    return SaliencyReport(scope="global", phenotype=phenotype, entries=_plain(entries))
 
 
 def local_salient_phrases_listed(
@@ -532,7 +547,7 @@ def local_salient_phrases_listed(
     return SaliencyReport(
         scope="local",
         phenotype=phenotype,
-        entries=entries,
+        entries=_plain(entries),
         flagged_negative=flagged,
     )
 

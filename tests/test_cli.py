@@ -302,6 +302,22 @@ class TestExplainCommand:
                      "--phenotype", "pheno0", "--out", str(tmp_path / "r")])
         assert code == 4
 
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    def test_an_out_with_no_file_name_is_refused_before_any_input_is_read(self, tmp_path, capsys, out):
+        # neither input exists, so exit 2 shows that --out was checked first
+        code = main(["explain", "--checkpoint", str(tmp_path / "missing.json"),
+                     "--corpus", str(tmp_path / "missing.jsonl"), "--phenotype", "pheno0", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"config error: --out {out!r} must end in a file name"
+
+    def test_an_out_suffix_is_replaced(self, workspace, tmp_path):
+        ckpt = workspace["root"] / "out" / "checkpoints" / "cnn__pheno0.json"
+        code = main(["explain", "--checkpoint", str(ckpt),
+                     "--corpus", str(workspace["paths"]["labeled"]),
+                     "--phenotype", "pheno0", "--out", str(tmp_path / "sub" / "rep.v2")])
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["rep.json", "rep.tsv"]
+
     def test_unknown_phenotype_is_config_error(self, workspace, tmp_path):
         ckpt = workspace["root"] / "out" / "checkpoints" / "cnn__pheno0.json"
         code = main(["explain", "--checkpoint", str(ckpt),
@@ -428,10 +444,13 @@ def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override)
         pytest.param(lambda ws, tmp: _experiment_argv(
             ws, tmp, models=["cnn"], pretrain={"dim": 4, "epochs": 1, "learning_rate": 1e300}),
             "pretraining diverged at epoch 1; lower pretrain.learning_rate", id="run-experiment-diverged"),
+        pytest.param(lambda ws, tmp: _experiment_argv(ws, tmp, models=["2gram-lr"],
+                                                      baselines={"logreg_l2_lambda": -1}),
+                     "logreg_l2_lambda must be >= 0, got -1", id="run-experiment-negative-l2-lambda"),
     ],
 )
 def test_bad_settings_exit_2_with_one_line_and_write_no_model(workspace, tmp_path, capsys, argv, says):
-    """A negative seed or a diverged run: exit 2 with one stderr line and no
+    """A negative seed or L2 weight, or a diverged run: exit 2 with one stderr line and no
     RuntimeWarning; no embeddings or checkpoint file is written."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")

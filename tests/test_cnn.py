@@ -492,6 +492,7 @@ class TestConfigValidation:
             {"threshold": 1.0},
             {"n_heads": 0},
             {"activation": "gelu"},
+            {"seed": -1},  # the seed reaches np.random.default_rng, which takes no negative one
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

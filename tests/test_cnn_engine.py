@@ -316,7 +316,7 @@ def test_forward_batch_is_bit_identical_to_the_reference(notes, activation, n_he
     draws = np.random.default_rng(seed).random((len(notes), model.total_filters)) if dropout else None
     got = cnn.forward_batch(model, notes, draws)
     want = oracle.forward_batch_reference(model, notes, draws)
-    for name in ("ids", "lengths", "embedded", "pooled", "dropped", "probs"):
+    for name in ("ids", "embedded", "pooled", "dropped", "probs"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.dropout_mask is None) == (want.dropout_mask is None)
     assert got.dropout_mask is None or np.array_equal(got.dropout_mask, want.dropout_mask)

@@ -194,12 +194,13 @@ class TestSgnsGradients:
 @settings(max_examples=200, deadline=None)
 @given(
     lengths=st.lists(st.integers(0, 7), min_size=1, max_size=6),
-    window=st.integers(1, 9),
+    window=st.integers(1, 9) | st.sampled_from([50, 20_000]),
     data=st.data(),
 )
 def test_epoch_pairs_match_a_python_enumeration(lengths, window, data):
-    """Ragged notes (empty, one token, shorter than the window): the pair
-    arrays and learning rates equal the per-pair loop's, in its order."""
+    """Ragged notes (empty, one token, shorter than the window, every note
+    narrower than a window of 50 or 20,000): the pair arrays and learning
+    rates equal the per-pair loop's, in its order."""
     n = sum(lengths)
     spans = data.draw(st.lists(st.integers(1, window), min_size=n, max_size=n))
     epoch = data.draw(st.integers(0, 2))

@@ -82,6 +82,8 @@ class TestGeneration:
             SyntheticSpec(min_note_tokens=2, phrase_length=3).validate()
         with pytest.raises(ValueError):
             SyntheticSpec(n_notes=0).validate()
+        with pytest.raises(ValueError):  # rather than giving no unlabeled notes
+            SyntheticSpec(n_unlabeled=-1)
 
 
 class TestDecoys:
