@@ -94,7 +94,7 @@ def vectors_to_csr(X: list[dict[int, float]], n_features: int) -> sparse.csr_mat
 class LinearModel:
     weights: np.ndarray
     bias: float
-    l2_lambda: float
+    l2_lambda: float = in_range(ge=0)
 
 
 def logreg_objective_and_grads(

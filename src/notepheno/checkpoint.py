@@ -23,9 +23,9 @@ import numpy as np
 
 from .baselines import Forest, LinearModel, check_pipeline
 from .cnn import CnnConfig, CnnModel
-from .corpus import Vocabulary, build_settings, check_ranges, check_types
+from .corpus import Vocabulary, build_settings, check_fields
 from .embeddings import EmbeddingMatrix
-from .featurize import FeatureKey, FeatureSpace
+from .featurize import IDF_VARIANT, FeatureKey, FeatureSpace
 
 FORMAT_VERSIONS = {"cnn": 2, "logreg": 3, "random_forest": 3}
 # The forest's node arrays and the dtype of each, and its scalar settings.
@@ -227,22 +227,15 @@ def _load_baseline(kind: str, doc: dict) -> Checkpoint:
     index = {k: i for i, k in enumerate(keys)}
     if len(index) != len(keys):
         raise ValueError("the feature space lists a feature key twice")
-    space = FeatureSpace(index, _array(data["idf"], "idf", (len(keys),)), data["variant"], keys)
+    if data["variant"] != IDF_VARIANT:
+        raise ValueError(f"feature space variant {data['variant']!r}, expected {IDF_VARIANT!r}")
+    space = FeatureSpace(index, _array(data["idf"], "idf", (len(keys),)), IDF_VARIANT, keys)
     payload = doc["model"]
     if kind == "logreg":
-        bias, l2_lambda = payload["bias"], payload["l2_lambda"]
-        if not (isinstance(bias, float) and math.isfinite(bias)):
-            raise ValueError(f"logistic regression bias {bias!r} is not a finite number")
-        if isinstance(l2_lambda, bool) or not isinstance(l2_lambda, (int, float)):
-            raise ValueError(f"logistic regression l2_lambda {l2_lambda!r} is not a number")
-        model = LinearModel(
-            weights=_array(payload["weights"], "logistic regression weights", (space.n_features,)),
-            bias=bias,
-            l2_lambda=l2_lambda,
-        )
+        weights = _array(payload["weights"], "logistic regression weights", (space.n_features,))
+        model = LinearModel(weights, payload["bias"], payload["l2_lambda"])
     else:
         settings = {key: payload[key] for key in FOREST_SETTINGS}
-        check_types(Forest, settings, "forest ")
         model = Forest(**_forest_arrays(payload, space.n_features), **settings)
-        check_ranges(model, "forest ")
+    check_fields(model, "logistic regression " if kind == "logreg" else "forest ")
     return Checkpoint(kind, model, [pipeline["phenotype"]], space=space, pipeline=pipeline)

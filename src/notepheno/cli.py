@@ -190,7 +190,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_explain(args) -> int:
     out_base = Path(args.out)
-    if not out_base.name:  # ".", "" and "/" name no file to give a suffix
+    if out_base.name in ("", ".."):  # ".", "", "/" and "sub/.." name no file to give a suffix
         raise ConfigError(f"--out {args.out!r} must end in a file name")
     ckpt = _read_checkpoint(args.checkpoint)
     if ckpt.kind != "cnn":

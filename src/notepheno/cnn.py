@@ -50,11 +50,9 @@ class CnnConfig(Settings):
     activation: str = "tanh"
     seed: int = in_range(0, ge=0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
-        super().__post_init__()
-
     def validate(self):
+        # a JSON list, its type already checked, is stored as a tuple
+        object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
         widths = self.filter_widths
         if not widths or len(set(widths)) != len(widths) or any(w < 1 for w in widths):
             raise ValueError(f"filter widths must be distinct and >= 1, got {widths}")

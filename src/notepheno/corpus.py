@@ -8,6 +8,7 @@ import math
 import numbers
 import random
 import re
+import sys
 import types
 import typing
 import warnings
@@ -121,43 +122,20 @@ def build_vocabulary(corpus: list[list[str]], min_count: int) -> Vocabulary:
     return Vocabulary.from_tokens(kept, min_count)
 
 
-def require_finite(cfg) -> None:
-    """ValueError naming the first float field of a config dataclass that is NaN
-    or infinite; a range check such as `x <= 0` lets NaN through."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be a finite number, got {value}")
+class FieldError(ValueError):
+    """A dataclass field whose value does not fit its type, is not a finite
+    number, or lies outside the range its in_range() declares."""
 
 
 def in_range(default=MISSING, **bounds):
     """A dataclass field whose value must lie in a range: ge or gt a lower
-    bound, then optionally lt an upper one. check_ranges holds it there."""
+    bound, then optionally lt an upper one. check_fields holds it there."""
     return field(default=default, metadata=bounds)
 
 
-def check_ranges(obj, where: str = "") -> None:
-    """ValueError naming the first field of a dataclass whose value lies
-    outside the range its in_range() declares; a None value passes. where,
-    say "forest ", prefixes the field name."""
-    for f in fields(obj):
-        value, bounds = getattr(obj, f.name), f.metadata
-        if not bounds or value is None:
-            continue
-        closed = "ge" in bounds
-        low = bounds["ge"] if closed else bounds["gt"]
-        high = bounds.get("lt")
-        if (value < low if closed else value <= low) or (high is not None and value >= high):
-            if high is None:
-                text = f"{'>=' if closed else '>'} {low}"
-            else:
-                text = f"in {'[' if closed else '('}{low}, {high})"
-            raise ValueError(f"{where}{f.name} must be {text}, got {value}")
-
-
 def _has_type(value, annotation) -> bool:
-    """Whether a config value fits a field annotation (int, float, str, bool,
-    X | None, and list[X] / tuple[X, ...] given as a list or a tuple)."""
+    """Whether a value fits a field annotation (int, float, str, bool, a
+    class, X | None, and list[X] / tuple[X, ...] given as a list or a tuple)."""
     origin = typing.get_origin(annotation)
     if origin in (typing.Union, types.UnionType):
         return any(_has_type(value, arg) for arg in typing.get_args(annotation))
@@ -183,44 +161,75 @@ def _type_name(annotation) -> str:
     return "null" if annotation is type(None) else annotation.__name__
 
 
-def check_types(cls, body: dict, where: str) -> None:
-    """ValueError naming the first field of body, the fields of a config
-    dataclass as parsed JSON, whose value does not fit its annotation."""
-    hints = typing.get_type_hints(cls)
-    for key, value in body.items():
-        if key in hints and not _has_type(value, hints[key]):
-            raise ValueError(
-                f"{where}{key} must be {_type_name(hints[key])}, got {json.dumps(value)}"
-            )
+def check_fields(obj, where: str = "") -> None:
+    """FieldError naming the first field of a dataclass whose value does not
+    fit its annotation; else the first float field that is NaN, infinite or
+    an int past the float range (a range check such as `x <= 0` lets NaN
+    through); else the first value outside the range its in_range()
+    declares, where None passes. where, say "forest ", prefixes the field name."""
+    hints = typing.get_type_hints(type(obj))
+    values = [(f.name, getattr(obj, f.name), f.metadata) for f in fields(obj)]
+    for name, value, _ in values:
+        if not _has_type(value, hints[name]):
+            try:
+                shown = json.dumps(value)
+            except (TypeError, ValueError):  # a value built in code, such as a numpy scalar
+                shown = repr(value)
+            raise FieldError(f"{where}{name} must be {_type_name(hints[name])}, got {shown}")
+    for name, value, _ in values:
+        if hints[name] is float and not abs(value) <= sys.float_info.max:
+            raise FieldError(f"{where}{name} must be a finite number, got {value}")
+    for name, value, bounds in values:
+        if not bounds or value is None:
+            continue
+        closed = "ge" in bounds
+        low = bounds["ge"] if closed else bounds["gt"]
+        high = bounds.get("lt")
+        if (value < low if closed else value <= low) or (high is not None and value >= high):
+            if high is None:
+                text = f"{'>=' if closed else '>'} {low}"
+            else:
+                text = f"in {'[' if closed else '('}{low}, {high})"
+            raise FieldError(f"{where}{name} must be {text}, got {value}")
 
 
 @dataclass(frozen=True)
 class Settings:
-    """A frozen settings dataclass, checked by require_finite, then
-    check_ranges and then its own validate() whenever one is built, a
-    dataclasses.replace() copy included."""
+    """A frozen settings dataclass, checked by check_fields and then its own
+    validate() whenever one is built, a dataclasses.replace() copy included."""
 
     def __post_init__(self):
-        require_finite(self)
-        check_ranges(self)
+        check_fields(self)
         self.validate()
 
     def validate(self):
-        """The rules a field's declared range cannot express; none by default."""
+        """The rules a field's type and declared range cannot express; none by default."""
 
 
 def build_settings(cls, values, section: str = ""):
-    """The Settings subclass cls(**values), its fields' types checked first;
-    any fault is a ValueError (or validate()'s own error). section, say "cnn"
-    for a config's cnn section, prefixes the field names it reports."""
+    """The Settings subclass cls built from values, a parsed JSON object; a
+    field annotated with a Settings subclass is built from its own object,
+    as the section of that name. An unknown or missing key, or a FieldError,
+    is a ValueError; validate()'s own errors pass through. section, say "cnn",
+    prefixes the field names it reports."""
     what = f"{section} section" if section else "config"
     if not isinstance(values, dict):
         raise ValueError(f"{what} must be a JSON object")
-    check_types(cls, values, f"{section}." if section else "")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in values and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+    hints = typing.get_type_hints(cls)
+    values = {key: build_settings(hints[key], value, key)
+              if isinstance(hints[key], type) and issubclass(hints[key], Settings) else value
+              for key, value in values.items()}
     try:
         return cls(**values)
-    except TypeError as exc:  # an unknown or a missing field
-        raise ValueError(f"bad {what}: {exc}") from exc
+    except FieldError as exc:
+        raise FieldError(f"{section}.{exc}" if section else str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +161,6 @@ class ExperimentConfig(Settings):
             raise ConfigError("concept-based models need a dictionary_path")
 
 
-_SECTION_TYPES = {
-    "split": SplitSpec,
-    "pretrain": PretrainConfig,
-    "cnn": cnn.CnnConfig,
-    "baselines": BaselineConfig,
-}
-_TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentConfig)}
 # Section fields run_experiment sets itself, and where their values come from.
 _DERIVED_FIELDS = {
     ("split", "seed"): "the split seed is derived from the root seed",
@@ -178,17 +171,11 @@ _DERIVED_FIELDS = {
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for (section, key), why in _DERIVED_FIELDS.items():
         if isinstance(data.get(section), dict) and key in data[section]:
             raise ConfigError(f"{section}.{key} cannot be set: {why}")
     try:
-        return build_settings(ExperimentConfig, {
-            key: build_settings(_SECTION_TYPES[key], value, key) if key in _SECTION_TYPES else value
-            for key, value in data.items()
-        })
+        return build_settings(ExperimentConfig, data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -97,6 +97,13 @@ def test_an_array_that_is_not_finite_is_never_saved(run, name, tmp_path):
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_an_integer_logistic_regression_bias_loads_like_any_float_field(run, tmp_path):
+    doc = json.loads((run["ckpts"] / "2gram-lr__pheno0.json").read_text())
+    doc["model"]["bias"] = -2
+    (tmp_path / "int_bias.json").write_text(json.dumps(doc))
+    assert checkpoint.load(tmp_path / "int_bias.json").model.bias == -2
+
+
 # Values a parsed node is replaced with: every JSON type, a NaN, and an
 # integer too large for a float.
 _RETYPES = [None, True, 0, -1, 1.5, float("nan"), 10**400, "x", "", [], [1], {}, {"a": 1}]

@@ -302,7 +302,7 @@ class TestExplainCommand:
                      "--phenotype", "pheno0", "--out", str(tmp_path / "r")])
         assert code == 4
 
-    @pytest.mark.parametrize("out", [".", "", "/"])
+    @pytest.mark.parametrize("out", [".", "", "/", "..", "sub/.."])
     def test_an_out_with_no_file_name_is_refused_before_any_input_is_read(self, tmp_path, capsys, out):
         # neither input exists, so exit 2 shows that --out was checked first
         code = main(["explain", "--checkpoint", str(tmp_path / "missing.json"),
@@ -446,7 +446,7 @@ def test_malformed_config_is_config_error(workspace, tmp_path, capsys, override)
             "pretraining diverged at epoch 1; lower pretrain.learning_rate", id="run-experiment-diverged"),
         pytest.param(lambda ws, tmp: _experiment_argv(ws, tmp, models=["2gram-lr"],
                                                       baselines={"logreg_l2_lambda": -1}),
-                     "logreg_l2_lambda must be >= 0, got -1", id="run-experiment-negative-l2-lambda"),
+                     "baselines.logreg_l2_lambda must be >= 0, got -1", id="run-experiment-negative-l2-lambda"),
     ],
 )
 def test_bad_settings_exit_2_with_one_line_and_write_no_model(workspace, tmp_path, capsys, argv, says):
@@ -644,6 +644,7 @@ _BAD_CNN_CHECKPOINTS = {
                              "config.filters_per_width"),
     "config-heads-float": (lambda doc: doc["config"].update(n_heads=1.0), "config.n_heads"),
     "config-epochs-float": (lambda doc: doc["config"].update(epochs=2.5), "config.epochs"),
+    "config-epochs-negative": (lambda doc: doc["config"].update(epochs=-1), "config.epochs must be >= 0, got -1"),
 }
 # Vocabularies that are not a list of distinct strings with an int min_count
 # of at least 1, each with the fault its one stderr line must name: as an
@@ -798,11 +799,19 @@ def _edit_output_bias(fields):
              lambda doc: doc["model"].update(weights=_unblock(doc["model"]["weights"]).tolist()),
              "logistic regression weights is not an array block"),
             ("logreg-bias-nan", "2gram-lr", lambda doc: doc["model"].update(bias=float("nan")),
-             "logistic regression bias nan is not a finite number"),
+             "logistic regression bias must be a finite number, got nan"),
+            ("logreg-bias-past-float-range", "2gram-lr", lambda doc: doc["model"].update(bias=10**400),
+             "logistic regression bias must be a finite number, got 1000"),
+            ("logreg-l2-lambda-negative", "ctakes-lr", lambda doc: doc["model"].update(l2_lambda=-3.0),
+             "logistic regression l2_lambda must be >= 0, got -3.0"),
+            ("logreg-l2-lambda-nan", "ctakes-lr", lambda doc: doc["model"].update(l2_lambda=float("nan")),
+             "logistic regression l2_lambda must be a finite number, got nan"),
             ("logreg-format-version-2", "2gram-lr", lambda doc: doc.update(format_version=2),
              "logreg checkpoint format version 2, expected 3"),
             ("space-idf-nan", "ctakes-lr", _edit_idf(lambda a: _with(a, 0, np.nan)),
              "idf holds a value that is not a finite number"),
+            ("space-idf-variant-5", "ctakes-lr", lambda doc: doc["feature_space"].update(variant=5),
+             "feature space variant 5, expected 'smooth-ln"),
             ("space-without-idf", "ctakes-lr", _edit_idf(lambda a: a[:0]), "idf has shape (0,)"),
             ("space-idf-strings", "ctakes-lr", _edit_idf(lambda a: a.astype(int)),
              "idf has dtype 'int64', but the model needs float64"),
@@ -821,7 +830,7 @@ def _edit_output_bias(fields):
             ("space-concept-negation-string", "ctakes-lr", _set_first_key(["concept", "c1", "yes"]),
              'is not ["concept", str, bool]'),
             ("cnn-unknown-config-field", "cnn", lambda doc: doc["config"].update(depth=3),
-             "unexpected keyword argument 'depth'"),
+             "unknown config section keys: ['depth']"),
             ("cnn-format-version-1", "cnn", lambda doc: doc.update(format_version=1),
              "cnn checkpoint format version 1, expected 2"),
         ]],

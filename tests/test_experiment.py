@@ -205,8 +205,34 @@ class TestConfigParsing:
     def test_unknown_section_key_rejected(self, corpus, tmp_path):
         data = base_config(corpus, tmp_path)
         data["cnn"] = {"filters": 10}
-        with pytest.raises(ConfigError, match="bad cnn section"):
+        with pytest.raises(ConfigError, match=r"unknown cnn section keys: \['filters'\]"):
             experiment_config_from_dict(data)
+
+    def test_a_missing_key_is_named(self, corpus, tmp_path):
+        data = base_config(corpus, tmp_path)
+        del data["models"]
+        with pytest.raises(ConfigError) as refused:
+            experiment_config_from_dict(data)
+        assert str(refused.value) == "missing config keys: ['models']"
+
+    @pytest.mark.parametrize("section, key, value, says", [
+        ("split", "train_fraction", -0.1, "split.train_fraction must be > 0, got -0.1"),
+        ("split", "test_fraction", float("nan"), "split.test_fraction must be a finite number, got nan"),
+        ("pretrain", "epochs", -1, "pretrain.epochs must be >= 0, got -1"),
+        ("pretrain", "learning_rate", float("inf"), "pretrain.learning_rate must be a finite number, got inf"),
+        ("pretrain", "learning_rate", 10**400, f"pretrain.learning_rate must be a finite number, got {10**400}"),
+        ("cnn", "epochs", -1, "cnn.epochs must be >= 0, got -1"),
+        ("cnn", "dropout_p", float("nan"), "cnn.dropout_p must be a finite number, got nan"),
+        ("baselines", "rf_max_depth", 0, "baselines.rf_max_depth must be >= 1, got 0"),
+        ("baselines", "logreg_l2_lambda", float("-inf"),
+         "baselines.logreg_l2_lambda must be a finite number, got -inf"),
+    ])
+    def test_a_section_field_fault_names_its_section(self, corpus, tmp_path, section, key, value, says):
+        data = base_config(corpus, tmp_path)
+        data[section] = {**data.get(section, {}), key: value}
+        with pytest.raises(ConfigError) as refused:
+            experiment_config_from_dict(data)
+        assert str(refused.value) == says
 
     def test_duplicate_models_rejected(self, corpus, tmp_path):
         data = base_config(corpus, tmp_path, models=["cnn", "cnn"])

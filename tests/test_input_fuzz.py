@@ -63,6 +63,7 @@ def _exits_cleanly(argv, capsys):
     err = capsys.readouterr().err.strip()
     assert code in (0, 2, 3, 4)
     assert code == 0 or len(err.splitlines()) == 1
+    assert "__init__()" not in err  # a fault names its key, not a constructor's signature
 
 
 def _paths(node, path=()):

@@ -9,9 +9,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from notepheno.baselines import Forest
+from notepheno.baselines import Forest, LinearModel
 from notepheno.cnn import CnnConfig
-from notepheno.corpus import SplitSpec, check_ranges
+from notepheno.corpus import FieldError, SplitSpec, check_fields
 from notepheno.embeddings import PretrainConfig
 from notepheno.experiment import BaselineConfig, ConfigError, ExperimentConfig
 from notepheno.synthetic import SyntheticSpec
@@ -61,8 +61,18 @@ def test_filter_widths_are_stored_as_a_tuple():
     assert replace(CnnConfig(), filter_widths=[4]).filter_widths == (4,)
 
 
-# Every declared range, as its message states it. A forest read from a
-# checkpoint is checked with check_ranges(forest, "forest ").
+def test_filter_widths_are_type_checked_before_they_become_a_tuple():
+    with pytest.raises(FieldError, match="^filter_widths must be a list of int, got 5$"):
+        CnnConfig(filter_widths=5)
+
+
+def test_a_value_json_cannot_encode_is_shown_by_its_repr():
+    with pytest.raises(FieldError, match=r"^seed must be int, got np\.int64\(3\)$"):
+        SyntheticSpec(seed=np.int64(3))
+
+
+# Every declared range, as its message states it. A model read from a
+# checkpoint is checked with check_fields(model, _PREFIX[its class]).
 _RANGES = {
     (SplitSpec, "train_fraction"): "> 0",
     (SplitSpec, "val_fraction"): "> 0",
@@ -100,17 +110,20 @@ _RANGES = {
     (SyntheticSpec, "n_unlabeled"): ">= 0",
     (Forest, "n_features_per_split"): ">= 1",
     (Forest, "max_depth"): ">= 1",
+    (LinearModel, "l2_lambda"): ">= 0",
 }
+_PREFIX = {Forest: "forest ", LinearModel: "logistic regression "}
 _VALID = {SplitSpec: SplitSpec(), PretrainConfig: PretrainConfig(), CnnConfig: CnnConfig(),
           BaselineConfig: BaselineConfig(), ExperimentConfig: _EXPERIMENT, SyntheticSpec: SyntheticSpec(),
-          Forest: Forest(*[np.zeros(0)] * 6, n_features_per_split=1, seed=0)}
+          Forest: Forest(*[np.zeros(0)] * 6, n_features_per_split=1, seed=0),
+          LinearModel: LinearModel(np.zeros(0), 0.0, 1.0)}
 
 
 def _built(cls, name, value):
     """A valid instance of cls with name set to value, its ranges checked."""
     built = replace(_VALID[cls], **{name: value})
-    if cls is Forest:
-        check_ranges(built, "forest ")
+    if cls in _PREFIX:
+        check_fields(built, _PREFIX[cls])
     return built
 
 
@@ -144,7 +157,7 @@ _OUTSIDE = list(_outside())
 @pytest.mark.parametrize("cls, name, value", _OUTSIDE,
                          ids=[f"{cls.__name__}.{name}={value}" for cls, name, value in _OUTSIDE])
 def test_the_nearest_value_outside_a_range_is_refused(cls, name, value):
-    prefix = "forest " if cls is Forest else ""
+    prefix = _PREFIX.get(cls, "")
     with pytest.raises(ValueError) as refused:
         _built(cls, name, value)
     assert str(refused.value) == f"{prefix}{name} must be {_RANGES[cls, name]}, got {value}"
